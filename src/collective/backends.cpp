@@ -1,5 +1,7 @@
 #include "collective/backends.hpp"
 
+#include <sstream>
+
 #include "collective/alltoall.hpp"
 #include "collective/bcast.hpp"
 #include "collective/scatter.hpp"
@@ -30,7 +32,15 @@ CollectiveResult from_network(std::vector<Time> delivered, Time completion,
 }  // namespace
 
 SimBackend::SimBackend(const topology::Grid& grid, sim::JitterConfig jitter)
-    : grid_(&grid), jitter_(jitter) {}
+    : grid_(&grid), jitter_(jitter) {
+  // Written so NaN fails too.  Checked here, where the value enters the
+  // library, so bad input never reaches sim::Network's own assertion.
+  if (!(jitter.frac >= 0.0 && jitter.frac < 0.5)) {
+    std::ostringstream msg;
+    msg << "sim backend: jitter must lie in [0, 0.5), got " << jitter.frac;
+    throw InvalidInput(msg.str());
+  }
+}
 
 bool SimBackend::supports(Verb v) const noexcept {
   switch (v) {

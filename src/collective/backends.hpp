@@ -20,6 +20,7 @@ namespace gridcast::collective {
 class SimBackend final : public Backend {
  public:
   /// The backend only references the grid; it must outlive the backend.
+  /// Throws InvalidInput unless `jitter.frac` lies in [0, 0.5).
   explicit SimBackend(const topology::Grid& grid,
                       sim::JitterConfig jitter = {});
   explicit SimBackend(topology::Grid&&, sim::JitterConfig = {}) = delete;

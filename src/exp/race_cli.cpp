@@ -18,6 +18,7 @@
 #include "io/grid_io.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "topology/grid5000.hpp"
 
@@ -132,6 +133,11 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
         "--sched-cost requires an unsharded run (selection cost is "
         "machine-local and would break shard-merge byte-identity)");
   spec.shard.validate();
+  if (spec.root >= cache.grid().cluster_count())
+    throw InvalidInput("--root=" + std::to_string(spec.root) +
+                       " is out of range for a " +
+                       std::to_string(cache.grid().cluster_count()) +
+                       "-cluster grid");
 
   sched::HeuristicOptions opts;
   opts.completion = spec.completion;
@@ -339,22 +345,6 @@ std::vector<std::size_t> fig2_cluster_ladder() {
 
 namespace {
 
-/// SplitMix64 finalizer, the same dispersion step measured_cell_seed uses.
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// The paper's seven heuristics — the race default when no --sched list is
 /// given (`--sched=all` would pull in shape-gated and ablation entries,
 /// which a hit-rate race must refuse, not skip).
@@ -370,17 +360,18 @@ std::vector<std::string> paper_sched_names() {
 std::uint64_t race_instance_seed(std::uint64_t seed, std::size_t clusters) {
   // Domain-tagged so a race never shares streams with the sweep cells.
   constexpr std::uint64_t kRaceDomain = 0x52414345ULL;  // "RACE"
-  return mix64(seed + kRaceDomain +
-               0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(clusters)));
+  return splitmix64(seed + kRaceDomain +
+                    0x9e3779b97f4a7c15ULL *
+                        static_cast<std::uint64_t>(clusters));
 }
 
 std::uint64_t race_exec_seed(std::uint64_t seed, std::size_t clusters,
                              std::uint64_t iteration,
                              std::string_view series_name) {
-  std::uint64_t z = seed + fnv1a(series_name);
+  std::uint64_t z = seed + fnv1a64(series_name);
   z += 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(clusters) + 1);
   z += 0xd1b54a32d192ed03ULL * (iteration + 1);
-  return mix64(z);
+  return splitmix64(z);
 }
 
 io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
@@ -826,8 +817,13 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       grid_seen = true;
       cli.grid_arg = value_of(arg);
     } else if (key == "--root") {
-      cli.spec.root =
-          static_cast<ClusterId>(parse_u64(value_of(arg), "--root"));
+      constexpr ClusterId kMaxRoot = std::numeric_limits<ClusterId>::max();
+      const std::uint64_t root = parse_u64(value_of(arg), "--root");
+      if (root > kMaxRoot)
+        throw InvalidInput("--root=" + std::to_string(root) +
+                           " exceeds the largest cluster id (" +
+                           std::to_string(kMaxRoot) + ")");
+      cli.spec.root = static_cast<ClusterId>(root);
     } else if (key == "--backend" || key == "--mode") {
       // --mode is the legacy spelling: "predicted"/"measured" are
       // registered aliases of the "plogp"/"sim" backends, so both flags
@@ -850,8 +846,9 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
             value_of(arg) + "'");
     } else if (key == "--jitter") {
       cli.spec.jitter = parse_double(value_of(arg), "--jitter");
-      if (cli.spec.jitter < 0)
-        throw InvalidInput("--jitter must be >= 0");
+      if (!std::isfinite(cli.spec.jitter) || cli.spec.jitter < 0)
+        throw InvalidInput("--jitter must be a finite number >= 0 (the sim "
+                           "backend takes [0, 0.5))");
     } else if (key == "--seed") {
       cli.spec.seed = parse_u64(value_of(arg), "--seed");
     } else if (key == "--threads") {

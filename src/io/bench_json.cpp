@@ -352,8 +352,7 @@ void put_nested_array(std::ostream& os,
 /// a confusing parse error (or a silently wrong baseline) downstream.
 /// Returns an empty string when the report is well-formed.
 std::string report_grammar_violation(const BenchReport& r) {
-  if (r.bench != "race" && r.bench != "montecarlo" && r.bench != "micro" &&
-      r.bench != "serve")
+  if (r.bench != "race" && r.bench != "montecarlo" && r.bench != "micro")
     return "unknown bench kind '" + r.bench + "'";
   if (r.sizes.empty()) return "empty axis";
   if (r.shards == 0 || r.shard >= r.shards) return "shard index out of range";
@@ -365,8 +364,6 @@ std::string report_grammar_violation(const BenchReport& r) {
   }
   if (r.is_micro() && (r.shards != 1 || r.verb != "bcast"))
     return "micro reports carry no verb or shard axes";
-  if (r.is_serve() && (r.shards != 1 || r.verb != "bcast"))
-    return "serve reports carry no verb or shard axes";
   const bool shard_form = r.shard_form();
   if (shard_form && !r.is_montecarlo())
     return "block data outside a montecarlo report";
@@ -388,17 +385,6 @@ std::string report_grammar_violation(const BenchReport& r) {
     if (r.is_micro()) {
       if (s.throughput.size() != r.sizes.size())
         return "series '" + s.name + "' throughput does not cover the axis";
-      continue;
-    }
-    if (r.is_serve()) {
-      // Serve series carry exactly one of the two channels: a value cell
-      // (makespan_s — exact compare) or a throughput cell (lower-bounded
-      // compare); either way it must cover the axis.
-      if (!s.hits.empty()) return "'hits' is montecarlo-only";
-      const std::vector<double>& cells =
-          s.throughput.empty() ? s.makespan_s : s.throughput;
-      if (cells.size() != r.sizes.size())
-        return "series '" + s.name + "' cells do not cover the axis";
       continue;
     }
     if (!s.throughput.empty()) return "'throughput' outside a micro report";
@@ -462,11 +448,8 @@ void write_bench_json(std::ostream& os, const BenchReport& r) {
     os << "  \"shard\": " << r.shard << ",\n";
   }
   // The axis key names what the points are: byte sizes for sweeps,
-  // cluster counts for Monte-Carlo races, request counts for serve
-  // replays.
-  os << "  \""
-     << (r.is_montecarlo() ? "clusters" : r.is_serve() ? "requests" : "sizes")
-     << "\": [";
+  // cluster counts for Monte-Carlo races.
+  os << "  \"" << (r.is_montecarlo() ? "clusters" : "sizes") << "\": [";
   for (std::size_t i = 0; i < r.sizes.size(); ++i)
     os << (i ? ", " : "") << r.sizes[i];
   os << "],\n  \"series\": [\n";
@@ -560,11 +543,10 @@ BenchReport bench_from_json(const std::string& text) {
       r.shard = as_u64(value, "shard");
     } else if (key == "threads") {
       // Historical BENCH_sweep.json field; accepted and ignored.
-    } else if (key == "sizes" || key == "clusters" || key == "requests") {
+    } else if (key == "sizes" || key == "clusters") {
       if (!r.sizes.empty())
         throw InvalidInput(
-            "bench JSON: 'sizes', 'clusters' and 'requests' are mutually "
-            "exclusive");
+            "bench JSON: 'sizes' and 'clusters' are mutually exclusive");
       for (const auto& v : as<JsonArray>(value, "sizes"))
         r.sizes.push_back(as_u64(v, "sizes[]"));
       if (r.sizes.empty())
@@ -612,20 +594,16 @@ BenchReport bench_from_json(const std::string& text) {
       throw InvalidInput("bench JSON: unknown key '" + key + "'");
     }
   }
-  if ((find(o, "sizes") == nullptr && find(o, "clusters") == nullptr &&
-       find(o, "requests") == nullptr) ||
+  if ((find(o, "sizes") == nullptr && find(o, "clusters") == nullptr) ||
       find(o, "series") == nullptr)
-    throw InvalidInput(
-        "bench JSON: missing 'sizes'/'clusters'/'requests' or 'series'");
+    throw InvalidInput("bench JSON: missing 'sizes'/'clusters' or 'series'");
   if (r.shards == 0 || r.shard >= r.shards)
     throw InvalidInput("bench JSON: shard index out of range");
 
   // Axis spelling is tied to the report kind: size sweeps use "sizes",
-  // Monte-Carlo races use "clusters", serve replays use "requests".  A
-  // mismatch is format drift.
-  const char* want_axis =
-      r.is_montecarlo() ? "clusters" : r.is_serve() ? "requests" : "sizes";
-  for (const char* axis_key : {"sizes", "clusters", "requests"})
+  // Monte-Carlo races use "clusters".  A mismatch is format drift.
+  const char* want_axis = r.is_montecarlo() ? "clusters" : "sizes";
+  for (const char* axis_key : {"sizes", "clusters"})
     if (find(o, axis_key) != nullptr &&
         std::string_view(axis_key) != want_axis)
       throw InvalidInput("bench JSON: axis key '" + std::string(axis_key) +
@@ -649,14 +627,6 @@ BenchReport bench_from_json(const std::string& text) {
       throw InvalidInput("bench JSON: micro reports have no verb axis");
     if (find(o, "shards") != nullptr || find(o, "shard") != nullptr)
       throw InvalidInput("bench JSON: micro reports cannot be sharded");
-  }
-  if (r.is_serve()) {
-    // A replayed request log mixes verbs and roots per request, and one
-    // replay is one whole-service measurement: no verb axis, no shards.
-    if (find(o, "verb") != nullptr)
-      throw InvalidInput("bench JSON: serve reports have no verb axis");
-    if (find(o, "shards") != nullptr || find(o, "shard") != nullptr)
-      throw InvalidInput("bench JSON: serve reports cannot be sharded");
   }
 
   const bool shard_form = r.shard_form();
@@ -693,14 +663,6 @@ BenchReport bench_from_json(const std::string& text) {
       if (s.throughput.size() != r.sizes.size())
         throw InvalidInput("bench JSON: micro series '" + s.name +
                            "' needs 'throughput' covering the axis");
-    } else if (r.is_serve()) {
-      // Either channel (exact value cells or lower-bounded throughput),
-      // covering the axis.
-      const std::vector<double>& cells =
-          s.throughput.empty() ? s.makespan_s : s.throughput;
-      if (cells.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: serve series '" + s.name +
-                           "' cells do not cover the axis");
     } else if (!s.throughput.empty()) {
       throw InvalidInput("bench JSON: 'throughput' is micro-only");
     } else if (!shard_form) {
@@ -795,15 +757,9 @@ std::vector<std::string> compare_bench(const BenchReport& baseline,
   if (baseline.root != current.root)
     add("root mismatch: baseline " + std::to_string(baseline.root) +
         " vs current " + std::to_string(current.root));
-  const char* axis = baseline.is_montecarlo() ? "clusters"
-                     : baseline.is_serve()    ? "requests"
-                                              : "size";
+  const char* axis = baseline.is_montecarlo() ? "clusters" : "size";
   if (baseline.sizes != current.sizes) {
-    // For serve reports the "ladder" is the replayed request count — a
-    // mismatch means a different log, which no tolerance can absorb.
-    add(std::string(baseline.is_montecarlo() ? "cluster-count"
-                    : baseline.is_serve()    ? "request-count"
-                                             : "size") +
+    add(std::string(baseline.is_montecarlo() ? "cluster-count" : "size") +
         " ladder mismatch (" + std::to_string(baseline.sizes.size()) +
         " baseline vs " + std::to_string(current.sizes.size()) +
         " current points)");

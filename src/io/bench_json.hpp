@@ -73,17 +73,8 @@ struct BenchSeries {
 /// because wall-clock throughput is machine-dependent where makespans are
 /// exact.  Micro reports refuse the sweep-only axes that cannot apply to
 /// them: verb, sharding, and Monte-Carlo iteration keys.
-/// A fourth kind, `bench == "serve"`, reports a serving-layer request-log
-/// replay: its one-point axis is the request count, serialised under the
-/// key "requests" (so compares refuse mismatched logs the same way they
-/// refuse mismatched ladders).  The deterministic series (hit_rate and
-/// the counter cells) use `makespan_s` as a generic exact value channel;
-/// opt-in timing series carry `throughput` (requests/sec, lower-bounded)
-/// and `wall_time_s` (latency percentiles, upper-bounded) with a null
-/// value cell.  A replayed log mixes verbs and roots per request, so
-/// serve reports refuse the verb key and the shard axes like micro does.
 struct BenchReport {
-  /// "race" (size sweep) | "montecarlo" | "micro" | "serve"
+  /// "race" (size sweep) | "montecarlo" | "micro"
   std::string bench = "race";
   std::string grid;
   std::string mode = "predicted";  ///< "predicted" | "measured"
@@ -111,8 +102,6 @@ struct BenchReport {
   }
   /// Micro-throughput report (workload axis, throughput series)?
   [[nodiscard]] bool is_micro() const noexcept { return bench == "micro"; }
-  /// Serving-layer replay report (request-count axis)?
-  [[nodiscard]] bool is_serve() const noexcept { return bench == "serve"; }
   /// Carries per-block shard partials instead of final per-point values?
   [[nodiscard]] bool shard_form() const noexcept;
   /// Number of iteration blocks per point: ceil(iterations / block_iters).

@@ -32,11 +32,6 @@ SendOrder AutoScheduler::order(const SchedulerRuntimeInfo& info) const {
   return propose(info).order;
 }
 
-std::string AutoScheduler::describe_options() const {
-  return std::string("prune=") + (opts_.prune ? "on" : "off") +
-         " candidates=" + std::to_string(candidates_.size());
-}
-
 AutoScheduler::Proposal AutoScheduler::propose(
     const SchedulerRuntimeInfo& info) const {
   Proposal p;

@@ -55,10 +55,6 @@ class AutoScheduler final : public SchedulerEntry {
   [[nodiscard]] SendOrder order(
       const SchedulerRuntimeInfo& info) const override;
 
-  /// E.g. "prune=on candidates=11" — deterministic, so the serve layer's
-  /// scheduler-set revision folds it.
-  [[nodiscard]] std::string describe_options() const override;
-
   /// Full selection: walk the candidates in registration order, skip
   /// `can_schedule` refusers, evaluate the rest under the analytic model
   /// (`evaluate_order` with this entry's completion model) and keep the

@@ -17,11 +17,6 @@ SendOrder FefScheduler::order(const SchedulerRuntimeInfo& info) const {
   return fef_order(info.instance(), opts_.fef_weight);
 }
 
-std::string FefScheduler::describe_options() const {
-  return opts_.fef_weight == FefWeight::kLatencyOnly ? "weight=latency"
-                                                     : "weight=gap+latency";
-}
-
 std::string_view EcefScheduler::name() const noexcept {
   switch (la_) {
     case Lookahead::kNone: return "ECEF";
@@ -38,18 +33,6 @@ SendOrder EcefScheduler::order(const SchedulerRuntimeInfo& info) const {
   return ecef_order(info.instance(), la_);
 }
 
-std::string EcefScheduler::describe_options() const {
-  switch (la_) {
-    case Lookahead::kNone: return "lookahead=none";
-    case Lookahead::kMinEdge: return "lookahead=min(g+L)";
-    case Lookahead::kMinEdgePlusT: return "lookahead=min(g+L+T)";
-    case Lookahead::kMaxEdgePlusT: return "lookahead=max(g+L+T)";
-    case Lookahead::kAvgEdge: return "lookahead=avg(g+L)";
-    case Lookahead::kAvgAfterMove: return "lookahead=avg-after-move";
-  }
-  return {};
-}
-
 SendOrder BottomUpScheduler::order(const SchedulerRuntimeInfo& info) const {
   return bottomup_order(info.instance(), opts_.bottomup);
 }
@@ -64,10 +47,6 @@ bool LanFlatScheduler::can_schedule(const SchedulerRuntimeInfo& info) const {
   // broadcasts alone, the grid is LAN-homogeneous enough for flat order.
   return info.clusters() >= 2 &&
          info.lower_bound() <= lan_slack_ * info.max_internal();
-}
-
-std::string LanFlatScheduler::describe_options() const {
-  return "gate=lower_bound<=" + std::to_string(lan_slack_) + "*max_T";
 }
 
 SendOrder StarWanScheduler::order(const SchedulerRuntimeInfo& info) const {
@@ -108,16 +87,6 @@ bool StarWanScheduler::can_schedule(const SchedulerRuntimeInfo& info) const {
       if (i != j && inst.transfer(i, j) < direct) return false;
   }
   return true;
-}
-
-std::string StarWanScheduler::describe_options() const {
-  return "gate=hub-shape&WAN-regime";
-}
-
-std::string BottomUpScheduler::describe_options() const {
-  return opts_.bottomup == BottomUpPolicy::kReadyTimeAware
-             ? "inner-cost=ready-time-aware"
-             : "inner-cost=paper-formula";
 }
 
 void register_builtin_schedulers(SchedulerRegistry& reg) {

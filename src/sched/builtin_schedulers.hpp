@@ -33,7 +33,6 @@ class FefScheduler final : public SchedulerEntry {
   }
   [[nodiscard]] SendOrder order(
       const SchedulerRuntimeInfo& info) const override;
-  [[nodiscard]] std::string describe_options() const override;
 };
 
 class EcefScheduler final : public SchedulerEntry {
@@ -44,7 +43,6 @@ class EcefScheduler final : public SchedulerEntry {
   [[nodiscard]] std::string_view name() const noexcept override;
   [[nodiscard]] SendOrder order(
       const SchedulerRuntimeInfo& info) const override;
-  [[nodiscard]] std::string describe_options() const override;
   [[nodiscard]] Lookahead lookahead() const noexcept { return la_; }
 
  private:
@@ -60,7 +58,6 @@ class BottomUpScheduler final : public SchedulerEntry {
   }
   [[nodiscard]] SendOrder order(
       const SchedulerRuntimeInfo& info) const override;
-  [[nodiscard]] std::string describe_options() const override;
 };
 
 // -- Grid-shape-specialised entries ----------------------------------
@@ -91,7 +88,6 @@ class LanFlatScheduler final : public SchedulerEntry {
       const SchedulerRuntimeInfo& info) const override;
   [[nodiscard]] bool can_schedule(
       const SchedulerRuntimeInfo& info) const override;
-  [[nodiscard]] std::string describe_options() const override;
 
   /// Transfers may add at most 10% over the internal broadcasts.
   static constexpr double kDefaultLanSlack = 1.1;
@@ -118,7 +114,6 @@ class StarWanScheduler final : public SchedulerEntry {
       const SchedulerRuntimeInfo& info) const override;
   [[nodiscard]] bool can_schedule(
       const SchedulerRuntimeInfo& info) const override;
-  [[nodiscard]] std::string describe_options() const override;
 };
 
 class SchedulerRegistry;

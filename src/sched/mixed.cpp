@@ -14,12 +14,6 @@ SendOrder MixedStrategy::order(const SchedulerRuntimeInfo& info) const {
   return delegate(info.clusters()).order(info);
 }
 
-std::string MixedStrategy::describe_options() const {
-  return "small=" + std::string(small_->name()) +
-         " large=" + std::string(large_->name()) +
-         " threshold=" + std::to_string(threshold_);
-}
-
 const SchedulerEntry& MixedStrategy::delegate(
     std::size_t clusters) const noexcept {
   return clusters <= threshold_ ? *small_ : *large_;

@@ -30,7 +30,6 @@ class MixedStrategy final : public SchedulerEntry {
   }
   [[nodiscard]] SendOrder order(
       const SchedulerRuntimeInfo& info) const override;
-  [[nodiscard]] std::string describe_options() const override;
   /// Delegating entry: composite selectors ("auto") must not recurse
   /// into it.
   [[nodiscard]] bool is_composite() const noexcept override { return true; }

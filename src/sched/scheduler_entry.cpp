@@ -16,10 +16,6 @@ bool SchedulerEntry::can_schedule(const SchedulerRuntimeInfo& info) const {
   return info.clusters() >= 2;
 }
 
-std::string SchedulerEntry::describe_options() const {
-  return {};
-}
-
 SendOrder SchedulerEntry::order(const Instance& inst) const {
   return order(SchedulerRuntimeInfo(inst, 0, opts_.completion));
 }

@@ -93,10 +93,6 @@ class SchedulerEntry {
   [[nodiscard]] virtual bool can_schedule(
       const SchedulerRuntimeInfo& info) const;
 
-  /// One-line description of the knobs this entry was built with, for
-  /// bench banners and the registry's help output.
-  [[nodiscard]] virtual std::string describe_options() const;
-
   /// Whether this entry delegates to other registry entries ("Mixed",
   /// "auto").  Composite selectors exclude composites from their
   /// candidate set — "auto" must never recurse into "Mixed" or itself.

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 /// Deterministic, splittable random number generation.
 ///
@@ -27,7 +28,7 @@ class Rng {
   /// double SplitMix64 finalizer over the (seed, id) pair.
   [[nodiscard]] static Rng stream(std::uint64_t seed,
                                   std::uint64_t stream_id) noexcept {
-    Rng r(seed ^ finalize(stream_id + 0x9e3779b97f4a7c15ULL));
+    Rng r(seed ^ splitmix64(stream_id + 0x9e3779b97f4a7c15ULL));
     r.next();  // decouple from the raw seed mix
     return r;
   }
@@ -35,7 +36,7 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t next() noexcept {
     std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    return finalize(z);
+    return splitmix64(z);
   }
 
   /// Uniform double in [0, 1).
@@ -112,13 +113,8 @@ class Rng {
   }
 
  private:
-  [[nodiscard]] static std::uint64_t finalize(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
   [[nodiscard]] static std::uint64_t mix_seed(std::uint64_t seed) noexcept {
-    return finalize(seed + 0x2545f4914f6cdd1dULL);
+    return splitmix64(seed + 0x2545f4914f6cdd1dULL);
   }
 
   std::uint64_t state_;

@@ -616,6 +616,64 @@ TEST(RaceCliErrors, OneLineDiagnosticsAndNonZeroExit) {
   EXPECT_NE(diag.find("--root"), std::string::npos);
 }
 
+TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
+  // Exit 2 means bad input and exit 3 means a bug: every out-of-range
+  // value must be refused as InvalidInput, one line, before it reaches an
+  // internal GRIDCAST_ASSERT (whose LogicError escapes the catch below
+  // and fails the test).  Runs are kept to one size or one tiny draw.
+  const std::string sweep = "--sizes=1M";
+  const std::string one = "--sched=FlatTree";
+  const std::vector<std::vector<std::string>> rows = {
+      // --root past the grid (grid5000 has 6 clusters), sweep and race.
+      {"--root=99", sweep, one},
+      {"--root=6", "--backend=sim", sweep, one},
+      // --root past the ClusterId range must not truncate to root 0.
+      {"--root=4294967296", sweep, one},
+      {"--race", "--root=4294967296", "--clusters=3", "--iters=2"},
+      // --jitter: NaN and inf for every backend...
+      {"--jitter=nan", sweep, one},
+      {"--jitter=inf", sweep, one},
+      {"--backend=sim", "--jitter=nan", sweep, one},
+      {"--backend=sim", "--jitter=inf", sweep, one},
+      {"--race", "--jitter=nan", "--clusters=3", "--iters=2"},
+      // ...and [0.5, inf) wherever the value reaches the simulator.
+      {"--backend=sim", "--jitter=0.5", sweep, one},
+      {"--backend=sim", "--jitter=0.75", "--verb=scatter", sweep, one},
+      {"--race", "--backend=sim", "--realise", "--jitter=0.5",
+       "--clusters=3", "--iters=2"},
+      // Already refused before; kept in the table as regression rows.
+      {"--threads=-1"},
+      {"--seed=abc"},
+      {"--sizes=0"},
+  };
+  // The InvalidInput diagnostic of one run; any other outcome fails.
+  const auto refusal = [](const std::vector<std::string>& args) {
+    std::string joined;
+    for (const auto& a : args) joined += a + " ";
+    std::ostringstream out, err;
+    try {
+      (void)run_race_cli(parse_race_cli(args), out, err);
+      ADD_FAILURE() << "accepted: " << joined;
+    } catch (const InvalidInput& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find('\n'), std::string::npos) << joined << ": " << what;
+      return what;
+    }
+    return std::string();
+  };
+  for (const auto& args : rows) (void)refusal(args);
+
+  // The sim range is named in the diagnostic.
+  EXPECT_NE(refusal({"--backend=sim", "--jitter=0.5", sweep, one})
+                .find("[0, 0.5)"),
+            std::string::npos);
+  // Under plogp the jitter never reaches the simulator: 0.5 stays legal.
+  std::ostringstream out, err;
+  EXPECT_EQ(run_race_cli(parse_race_cli({"--jitter=0.5", sweep, one}), out,
+                         err),
+            0);
+}
+
 TEST(RaceCliDriver, RaceRunMergeAndCheckEndToEnd) {
   const std::string dir = testing::TempDir();
   const auto path = [&](const std::string& f) { return dir + "/" + f; };

@@ -363,124 +363,12 @@ TEST(BenchCompareMicro, KindMismatchShortCircuits) {
   EXPECT_NE(problems[0].find("bench kind mismatch"), std::string::npos);
 }
 
-// ---- The "serve" kind: serving-layer replay reports with a one-point
-// request-count axis under the JSON key "requests".
-
-BenchReport serve_report() {
-  BenchReport r;
-  r.bench = "serve";
-  r.grid = "grid5000_testbed";
-  r.mode = "predicted";
-  r.sizes = {240};  // the axis is the replayed request count
-  r.series.push_back(make_series("hit_rate", kNaN, {0.8125}));
-  r.series.push_back(make_series("hits", kNaN, {195.0}));
-  r.series.push_back(make_series("predicted_sum_s", kNaN, {46390.152}));
-  BenchSeries rps;
-  rps.name = "requests_per_s";
-  rps.throughput = {69989.0};
-  r.series.push_back(std::move(rps));
-  BenchSeries p99 = make_series("latency_p99_s", 0.00184, {kNaN});
-  r.series.push_back(std::move(p99));
-  return r;
-}
-
-TEST(BenchJsonServe, RoundTripUsesTheRequestsKey) {
-  const BenchReport r = serve_report();
-  const std::string once = bench_to_json(r);
-  EXPECT_NE(once.find("\"requests\": [240]"), std::string::npos) << once;
-  EXPECT_EQ(once.find("\"sizes\""), std::string::npos) << once;
-  EXPECT_EQ(bench_to_json(bench_from_json(once)), once);
-  const BenchReport back = bench_from_json(once);
-  EXPECT_TRUE(back.is_serve());
-  ASSERT_EQ(back.sizes.size(), 1u);
-  EXPECT_EQ(back.sizes[0], 240u);
-}
-
-TEST(BenchJsonServe, AxisKeyMustMatchTheKind) {
-  // A serve report under "sizes" — or a race report under "requests" —
-  // is a kind/axis mismatch, same rule as montecarlo's "clusters".
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"serve\", \"sizes\": [240], \"series\": "
-                   "[{\"name\": \"hits\", \"makespan_s\": [195.0]}]}"),
-               InvalidInput);
+TEST(BenchJson, RequestsAxisIsNotAKey) {
+  // Only sweeps ("sizes") and Monte-Carlo races ("clusters") name an axis.
   EXPECT_THROW((void)bench_from_json(
                    "{\"requests\": [240], \"series\": "
                    "[{\"name\": \"hits\", \"makespan_s\": [195.0]}]}"),
                InvalidInput);
-}
-
-TEST(BenchJsonServe, RefusesVerbAndShardAxes) {
-  // A replayed log mixes verbs and roots per request; neither a verb key
-  // nor shard coordinates can describe a serve report.
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"serve\", \"verb\": \"scatter\", "
-                   "\"requests\": [240], \"series\": [{\"name\": \"hits\", "
-                   "\"makespan_s\": [195.0]}]}"),
-               InvalidInput);
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"serve\", \"shards\": 2, \"shard\": 0, "
-                   "\"requests\": [240], \"series\": [{\"name\": \"hits\", "
-                   "\"makespan_s\": [195.0]}]}"),
-               InvalidInput);
-}
-
-TEST(BenchJsonServe, SeriesNeedAValueChannelCoveringTheAxis) {
-  // Either makespan_s (deterministic cells) or throughput (the timing
-  // lane) must cover the one-point axis; a bare name is rejected.
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"serve\", \"requests\": [240], "
-                   "\"series\": [{\"name\": \"hits\"}]}"),
-               InvalidInput);
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"serve\", \"requests\": [240], \"series\": "
-                   "[{\"name\": \"hits\", \"makespan_s\": [1.0, 2.0]}]}"),
-               InvalidInput);
-  // Monte-Carlo hit arrays have no meaning here either.
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"serve\", \"requests\": [240], \"series\": "
-                   "[{\"name\": \"hits\", \"makespan_s\": [195.0], "
-                   "\"hits\": [1.0]}]}"),
-               InvalidInput);
-}
-
-TEST(BenchCompareServe, IdenticalReportsPass) {
-  const BenchReport r = serve_report();
-  EXPECT_TRUE(compare_bench(r, r).empty());
-}
-
-TEST(BenchCompareServe, RequestCountMismatchIsRefused) {
-  const BenchReport base = serve_report();
-  BenchReport cur = serve_report();
-  cur.sizes = {241};
-  const auto problems = compare_bench(base, cur);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("request-count"), std::string::npos)
-      << problems[0];
-}
-
-TEST(BenchCompareServe, GatesApplyPerChannel) {
-  const BenchReport base = serve_report();
-
-  // Deterministic cells gate exactly (hit-rate drift is a regression)...
-  BenchReport cur = serve_report();
-  cur.series[0].makespan_s[0] = 0.5;
-  EXPECT_FALSE(compare_bench(base, cur).empty());
-
-  // ...throughput gates as a lower bound (faster is fine, floor is not)...
-  cur = serve_report();
-  cur.series[3].throughput[0] = base.series[3].throughput[0] * 100.0;
-  EXPECT_TRUE(compare_bench(base, cur).empty());
-  cur.series[3].throughput[0] = base.series[3].throughput[0] / 11.0;
-  EXPECT_FALSE(compare_bench(base, cur).empty());
-
-  // ...and latency gates through wall_time_s as an upper bound: the NaN
-  // value cell is skipped, the wall regression still fires.
-  cur = serve_report();
-  cur.series[4].wall_time_s = base.series[4].wall_time_s * 100.0;
-  const auto problems = compare_bench(base, cur);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("wall_time_s regression"), std::string::npos)
-      << problems[0];
 }
 
 }  // namespace

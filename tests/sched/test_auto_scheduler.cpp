@@ -97,8 +97,9 @@ TEST(AutoScheduler, CandidatesAreTheNonCompositeRegistryInOrder) {
     EXPECT_NE(name, "auto");
     EXPECT_NE(name, "Mixed");
   }
-  EXPECT_EQ(autos.describe_options(),
-            "prune=on candidates=" + std::to_string(candidates.size()));
+  // Pruning is on by default; the registry holds exactly two composites.
+  EXPECT_TRUE(autos.options().prune);
+  EXPECT_EQ(candidates.size(), registry().names().size() - 2);
 }
 
 // --------------------------------------------------- the argmin property
@@ -177,9 +178,9 @@ TEST(AutoScheduler, PruningNeverChangesTheSelection) {
   no_prune.prune = false;
   const AutoScheduler pruned(registry());
   const AutoScheduler unpruned(registry(), no_prune);
-  EXPECT_EQ(unpruned.describe_options(),
-            "prune=off candidates=" +
-                std::to_string(unpruned.candidate_names().size()));
+  EXPECT_FALSE(unpruned.options().prune);
+  EXPECT_EQ(unpruned.candidate_names().size(),
+            pruned.candidate_names().size());
   const topology::Grid grid = topology::grid5000_testbed();
   exp::InstanceCache cache(grid);
   for (const Bytes m : exp::default_size_ladder()) {

@@ -98,7 +98,6 @@ TEST(Registry, OptionsReachTheEntry) {
   opts.fef_weight = FefWeight::kGapPlusLatency;
   const auto entry = registry().make("FEF", opts);
   EXPECT_EQ(entry->options().fef_weight, FefWeight::kGapPlusLatency);
-  EXPECT_EQ(entry->describe_options(), "weight=gap+latency");
 }
 
 TEST(Registry, PaperHelpersAreRegistryBacked) {

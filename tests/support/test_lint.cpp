@@ -75,8 +75,6 @@ constexpr FailCase kFailCases[] = {
     {"fail_registry_case", "src/collective/reg.cpp", 4, "registry-lowercase"},
     {"fail_layering_support", "src/support/helper.hpp", 2, "layering"},
     {"fail_layering_sim", "src/sim/leak.cpp", 1, "layering"},
-    {"fail_layering_serve", "src/serve/daemon.cpp", 1, "layering"},
-    {"fail_layering_sim_serve", "src/sim/feedback.cpp", 1, "layering"},
     {"fail_bad_allow", "src/sched/typo.cpp", 2, "bad-annotation"},
 };
 

@@ -8,6 +8,8 @@
 #include <numeric>
 #include <vector>
 
+#include "support/hash.hpp"
+
 namespace gridcast {
 namespace {
 
@@ -161,6 +163,25 @@ TEST_P(RngStreamSweep, UniformBoundsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Streams, RngStreamSweep,
                          ::testing::Values(0, 1, 2, 17, 1000, 99999));
+
+// Every seed in every report is built from these two hashes, so their
+// values are pinned: a change here moves every checked-in baseline.
+TEST(Hash, Fnv1a64ValuesArePinned) {
+  // The empty string hashes to the offset basis (see hash.hpp for why it
+  // differs from the published one).
+  static_assert(fnv1a64("") == 1469598103934665603ULL);
+  EXPECT_EQ(fnv1a64("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x88fad7c0a8ff07f2ULL);
+}
+
+TEST(Hash, SplitMix64FinalizerMatchesTheReferenceGenerator) {
+  // The reference SplitMix64 seeded with 0 outputs finalize(gamma),
+  // finalize(2 * gamma), ...
+  constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  static_assert(splitmix64(0) == 0);
+  EXPECT_EQ(splitmix64(kGamma), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(2 * kGamma), 0x6e789e6aa1b965f4ULL);
+}
 
 }  // namespace
 }  // namespace gridcast

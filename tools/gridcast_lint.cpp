@@ -84,10 +84,9 @@ constexpr RuleInfo kRules[] = {
     {"registry-lowercase", "src/collective",
      "backend registry names must be lowercase (lookups fold case; the "
      "scheduler registry intentionally differs)"},
-    {"layering", "src/support, src/sim, src/serve",
+    {"layering", "src/support, src/sim",
      "include-graph: support/ is the base layer and includes nothing "
-     "above it; sim/ must not reach into exp/, io/ or serve/; serve/ sits "
-     "on top of sched/exp/io and must not reach into sim/ internals"},
+     "above it; sim/ must not reach into exp/ or io/"},
 };
 
 bool rule_exists(std::string_view name) {
@@ -386,8 +385,7 @@ Matches rule_layering(const SourceFile& f) {
   static const std::regex inc(R"(#\s*include\s*\"([^\"]+)\")");
   const bool in_support = under(f.rel, "src/support/");
   const bool in_sim = under(f.rel, "src/sim/");
-  const bool in_serve = under(f.rel, "src/serve/");
-  if (!in_support && !in_sim && !in_serve) return out;
+  if (!in_support && !in_sim) return out;
   // Include operands are string literals — scan the view that keeps them.
   for (std::size_t i = 0; i < f.nostring.size(); ++i) {
     std::smatch m;
@@ -398,14 +396,9 @@ Matches rule_layering(const SourceFile& f) {
       out.emplace_back(i, "support/ is the base layer; it must not "
                           "include '" +
                               inc_path + "'");
-    if (in_sim && (under(inc_path, "exp/") || under(inc_path, "io/") ||
-                   under(inc_path, "serve/")))
+    if (in_sim && (under(inc_path, "exp/") || under(inc_path, "io/")))
       out.emplace_back(i, "sim/ must not depend on '" + inc_path +
-                              "' (exp/io/serve sit above the simulator)");
-    if (in_serve && under(inc_path, "sim/"))
-      out.emplace_back(i, "serve/ must not depend on '" + inc_path +
-                              "' (the serving layer consumes the simulator "
-                              "through collective backends, never directly)");
+                              "' (exp/io sit above the simulator)");
   }
   return out;
 }
