@@ -23,19 +23,19 @@ int main() {
       sched::Scheduler("FEF"),
       sched::Scheduler("ECEF-LAT")};
 
+  exp::RaceGridSpec spec;
+  spec.cluster_counts = {4, 8, 16, 32, 50};
+  spec.iterations = opt.iterations;
+  spec.seed = opt.seed;
+  const io::BenchReport r = exp::run_race_grid(comps, spec, pool);
+
   Table t({"clusters", "BottomUp(RT-aware)", "BottomUp(paper-formula)", "FEF",
            "ECEF-LAT"});
-  for (const std::size_t n : {4UL, 8UL, 16UL, 32UL, 50UL}) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const auto r = exp::run_race(comps, cfg, pool);
-    t.add_row(std::to_string(n),
-              {r.makespan[0].mean(), r.makespan[1].mean(),
-               r.makespan[2].mean(), r.makespan[3].mean()},
+  for (std::size_t p = 0; p < r.sizes.size(); ++p)
+    t.add_row(std::to_string(r.sizes[p]),
+              {r.series[0].makespan_s[p], r.series[1].makespan_s[p],
+               r.series[2].makespan_s[p], r.series[3].makespan_s[p]},
               3);
-  }
   benchx::emit(t, opt);
   return 0;
 }

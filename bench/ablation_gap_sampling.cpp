@@ -16,7 +16,10 @@ int main() {
   ThreadPool pool(opt.threads);
   const auto family = sched::ecef_family();
 
-  const std::vector<std::size_t> counts{5, 15, 30, 50};
+  exp::RaceGridSpec spec;
+  spec.cluster_counts = {5, 15, 30, 50};
+  spec.iterations = opt.iterations;
+  spec.seed = opt.seed;
   for (const bool shared : {false, true}) {
     std::cout << "# gap sampling = " << (shared ? "shared-per-iteration"
                                                : "per-pair")
@@ -24,18 +27,14 @@ int main() {
     std::vector<std::string> header{"clusters"};
     for (const auto& c : family) header.emplace_back(c.name());
     Table t(std::move(header));
-    for (const std::size_t n : counts) {
-      exp::RaceConfig cfg;
-      cfg.clusters = n;
-      cfg.iterations = opt.iterations;
-      cfg.seed = opt.seed;
-      cfg.ranges = shared ? exp::ParamRanges::shared_gap()
-                          : exp::ParamRanges::paper();
-      const auto r = exp::run_race(family, cfg, pool);
+    spec.ranges = shared ? exp::ParamRanges::shared_gap()
+                         : exp::ParamRanges::paper();
+    const io::BenchReport r = exp::run_race_grid(family, spec, pool);
+    for (std::size_t p = 0; p < r.sizes.size(); ++p) {
       std::vector<double> row;
       for (std::size_t s = 0; s < family.size(); ++s)
-        row.push_back(static_cast<double>(r.hits[s]));
-      t.add_row(std::to_string(n), row, 0);
+        row.push_back(r.series[s].hits[p]);
+      t.add_row(std::to_string(r.sizes[p]), row, 0);
     }
     benchx::emit(t, opt);
   }

@@ -6,6 +6,7 @@
 
 #include "common.hpp"
 #include "sched/evaluate.hpp"
+#include "support/stats.hpp"
 
 namespace {
 

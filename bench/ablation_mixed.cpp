@@ -17,24 +17,27 @@ int main() {
   const auto family = sched::ecef_family();  // ECEF, LA, LAt, LAT
   const sched::MixedStrategy mixed(10);
 
+  exp::RaceGridSpec spec;
+  spec.cluster_counts = {4, 8, 10, 12, 20, 35, 50};
+  spec.iterations = opt.iterations;
+  spec.seed = opt.seed;
+  const io::BenchReport r = exp::run_race_grid(family, spec, pool);
+
   Table t({"clusters", "ECEF-LA mean", "ECEF-LAT mean", "mixed mean",
            "ECEF-LA hits", "ECEF-LAT hits", "mixed hits", "mixed uses"});
-  for (const std::size_t n : {4UL, 8UL, 10UL, 12UL, 20UL, 35UL, 50UL}) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const auto r = exp::run_race(family, cfg, pool);
-
+  for (std::size_t p = 0; p < r.sizes.size(); ++p) {
+    const std::size_t n = r.sizes[p];
     // Index into the family: 1 = ECEF-LA, 3 = ECEF-LAT.
     const std::size_t pick =
         mixed.choice(n) == "ECEF-LA" ? 1 : 3;
-    t.add_row({std::to_string(n), Table::fmt(r.makespan[1].mean(), 3),
-               Table::fmt(r.makespan[3].mean(), 3),
-               Table::fmt(r.makespan[pick].mean(), 3),
-               std::to_string(r.hits[1]), std::to_string(r.hits[3]),
-               std::to_string(r.hits[pick]),
-               std::string(mixed.choice(n))});
+    const auto mean = [&](std::size_t s) {
+      return Table::fmt(r.series[s].makespan_s[p], 3);
+    };
+    const auto hits = [&](std::size_t s) {
+      return Table::fmt(r.series[s].hits[p], 0);
+    };
+    t.add_row({std::to_string(n), mean(1), mean(3), mean(pick), hits(1),
+               hits(3), hits(pick), std::string(mixed.choice(n))});
   }
   benchx::emit(t, opt);
   return 0;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "exp/montecarlo.hpp"
-#include "exp/race_cli.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"

@@ -10,7 +10,7 @@
 // (DESIGN.md substitution table).
 
 #include "common.hpp"
-#include "exp/race_cli.hpp"
+#include "exp/sweep.hpp"
 #include "topology/grid5000.hpp"
 
 int main() {

@@ -11,7 +11,7 @@
 // best, DefaultLAM in between, FlatTree worst by several times.
 
 #include "common.hpp"
-#include "exp/race_cli.hpp"
+#include "exp/sweep.hpp"
 #include "topology/grid5000.hpp"
 
 int main() {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exp/montecarlo.hpp"
+#include "support/error.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
@@ -26,28 +27,29 @@ int main(int argc, char** argv) {
 
   const BenchOptions opt = BenchOptions::from_env(2000);
   ThreadPool pool(opt.threads);
-  const auto comps = sched::paper_heuristics();
 
-  for (const std::size_t n : counts) {
-    exp::RaceConfig cfg;
-    cfg.clusters = n;
-    cfg.iterations = opt.iterations;
-    cfg.seed = opt.seed;
-    const exp::RaceResult r = exp::run_race(comps, cfg, pool);
-
-    std::cout << "\n== " << n << " clusters, " << r.iterations
-              << " iterations ==\n";
-    Table t({"heuristic", "mean (s)", "stddev", "min", "max", "hit rate"});
-    for (std::size_t s = 0; s < r.names.size(); ++s)
-      t.add_row(r.names[s],
-                {r.makespan[s].mean(), r.makespan[s].sample_stddev(),
-                 r.makespan[s].min(), r.makespan[s].max(), r.hit_rate(s)},
-                3);
-    t.add_row("(global minimum)",
-              {r.global_min.mean(), r.global_min.sample_stddev(),
-               r.global_min.min(), r.global_min.max(), 1.0},
-              3);
-    t.print(std::cout);
+  exp::RaceGridSpec spec;
+  spec.cluster_counts = counts;
+  spec.iterations = opt.iterations;
+  spec.seed = opt.seed;
+  try {
+    const io::BenchReport r =
+        exp::run_race_grid(sched::paper_heuristics(), spec, pool);
+    const auto iters = static_cast<double>(r.iterations);
+    for (std::size_t p = 0; p < r.sizes.size(); ++p) {
+      std::cout << "\n== " << r.sizes[p] << " clusters, " << r.iterations
+                << " iterations ==\n";
+      Table t({"heuristic", "mean (s)", "hit rate"});
+      for (const auto& s : r.series) {
+        // The trailing GlobalMin row has no hits: it attains itself.
+        const double rate = s.hits.empty() ? 1.0 : s.hits[p] / iters;
+        t.add_row(s.name, {s.makespan_s[p], rate}, 3);
+      }
+      t.print(std::cout);
+    }
+  } catch (const InvalidInput& e) {
+    std::cerr << e.what() << '\n';
+    return 1;
   }
   return 0;
 }

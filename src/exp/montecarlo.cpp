@@ -1,113 +1,381 @@
 #include "exp/montecarlo.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
+#include <optional>
+#include <set>
 
-#include "collective/backends.hpp"
+#include "collective/backend.hpp"
+#include "exp/realise.hpp"
+#include "support/contracts.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/rng.hpp"
 
 namespace gridcast::exp {
 
-double RaceResult::hit_rate(std::size_t s) const {
-  GRIDCAST_ASSERT(s < hits.size(), "strategy index out of range");
-  return iterations == 0
-             ? 0.0
-             : static_cast<double>(hits[s]) / static_cast<double>(iterations);
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr std::uint64_t kMaxRaceCells = 1000000;
+
+}  // namespace
+
+std::vector<std::size_t> fig1_cluster_ladder() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 2; n <= 10; ++n) counts.push_back(n);
+  return counts;
 }
 
-RaceResult run_race(const collective::Backend& backend,
-                    const std::vector<sched::Scheduler>& comps,
-                    const RaceConfig& cfg, ThreadPool& pool) {
-  GRIDCAST_ASSERT(!comps.empty(), "no competitors");
-  GRIDCAST_ASSERT(cfg.clusters >= 2, "a race needs at least two clusters");
-  if (!backend.instance_only())
-    throw InvalidInput("backend '" + std::string(backend.name()) +
-                       "' executes on a concrete grid and cannot time the "
-                       "Monte-Carlo races' sampled instances");
-  cfg.ranges.validate();
+std::vector<std::size_t> fig2_cluster_ladder() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 5; n <= 50; n += 5) counts.push_back(n);
+  return counts;
+}
 
-  struct Accumulator {
-    std::vector<RunningStats> makespan;
-    std::vector<std::uint64_t> hits;
-    RunningStats global_min;
-  };
+std::uint64_t race_instance_seed(std::uint64_t seed, std::size_t clusters) {
+  // Domain-tagged so a race never shares streams with the sweep cells.
+  constexpr std::uint64_t kRaceDomain = 0x52414345ULL;  // "RACE"
+  return splitmix64(seed + kRaceDomain +
+                    0x9e3779b97f4a7c15ULL *
+                        static_cast<std::uint64_t>(clusters));
+}
 
-  // Partial accumulators are collected per chunk and merged in chunk
-  // order afterwards: RunningStats merging is not associative in floating
-  // point, so merge order must not depend on thread scheduling.
-  std::mutex collect_mu;
-  std::map<std::size_t, Accumulator> partials;
+std::uint64_t race_exec_seed(std::uint64_t seed, std::size_t clusters,
+                             std::uint64_t iteration,
+                             std::string_view series_name) {
+  std::uint64_t z = seed + fnv1a64(series_name);
+  z += 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(clusters) + 1);
+  z += 0xd1b54a32d192ed03ULL * (iteration + 1);
+  return splitmix64(z);
+}
 
-  pool.parallel_for(
-      static_cast<std::size_t>(cfg.iterations),
-      [&](std::size_t lo, std::size_t hi) {
-        Accumulator acc;
-        acc.makespan.resize(comps.size());
-        acc.hits.assign(comps.size(), 0);
-        std::vector<Time> mk(comps.size());
-        sched::Instance inst;  // storage reused across iterations
+std::size_t race_block_count(std::size_t points, std::uint64_t iterations,
+                             std::uint64_t block_iters) {
+  GRIDCAST_ASSERT(block_iters >= 1, "race block size must be >= 1");
+  // ceil() without the `iterations + block_iters - 1` wrap near 2^64.
+  const std::uint64_t blocks =
+      iterations / block_iters + (iterations % block_iters != 0 ? 1 : 0);
+  if (points != 0 && blocks > kMaxRaceCells / points)
+    throw InvalidInput(
+        "--iters=" + std::to_string(iterations) + " over " +
+        std::to_string(points) + " cluster count(s) spans more than " +
+        std::to_string(kMaxRaceCells) + " race cells of " +
+        std::to_string(block_iters) + " iterations");
+  return static_cast<std::size_t>(blocks);
+}
 
-        for (std::size_t it = lo; it < hi; ++it) {
-          Rng rng = Rng::stream(cfg.seed, it);
-          sample_instance_into(cfg.ranges, cfg.clusters, rng, cfg.root, inst);
+io::BenchReport run_race_grid(const RaceGridSpec& spec, ThreadPool& pool) {
+  if (spec.sched_names.empty())
+    throw InvalidInput("no schedulers selected (use --sched=a,b,c)");
+  sched::HeuristicOptions opts;
+  opts.completion = spec.completion;
+  opts.prune = spec.prune;
+  return run_race_grid(resolve_competitors(spec.sched_names, opts), spec,
+                       pool);
+}
 
-          Time best = std::numeric_limits<Time>::infinity();
-          for (std::size_t s = 0; s < comps.size(); ++s) {
-            const sched::SchedulerRuntimeInfo info(
-                inst, 0, comps[s].options().completion);
-            // Shape-gated entries cannot abstain per iteration without
-            // skewing the hit-rate denominator, so a refusal is a
-            // designed error here — grid sweeps are where gated entries
-            // are skipped (backend_sweep).
-            if (!comps[s].entry().can_schedule(info))
-              throw InvalidInput(
-                  "scheduler '" + std::string(comps[s].name()) +
-                  "' refused a sampled instance (iteration " +
-                  std::to_string(it) +
-                  "): the Monte-Carlo race needs entries that accept every "
-                  "draw; shape-gated entries belong in grid sweeps, which "
-                  "skip them");
-            mk[s] = backend.bcast(comps[s].entry(), info).completion;
-            acc.makespan[s].add(mk[s]);
-            best = std::min(best, mk[s]);
-          }
-          acc.global_min.add(best);
-          const Time cutoff = best * (1.0 + cfg.hit_epsilon);
-          for (std::size_t s = 0; s < comps.size(); ++s)
-            if (mk[s] <= cutoff) ++acc.hits[s];
-        }
+io::BenchReport run_race_grid(const std::vector<sched::Scheduler>& comps,
+                              const RaceGridSpec& spec, ThreadPool& pool) {
+  if (comps.empty()) throw InvalidInput("no competitors to race");
+  if (spec.iterations == 0)
+    throw InvalidInput("--iters must be >= 1");
+  if (spec.block_iters == 0)
+    throw InvalidInput("race block size must be >= 1");
+  spec.shard.validate();
+  spec.ranges.validate();
 
-        std::lock_guard lk(collect_mu);
-        partials.emplace(lo, std::move(acc));
-      });
-
-  Accumulator total;
-  total.makespan.resize(comps.size());
-  total.hits.assign(comps.size(), 0);
-  for (auto& [lo, acc] : partials) {
-    for (std::size_t s = 0; s < comps.size(); ++s) {
-      total.makespan[s].merge(acc.makespan[s]);
-      total.hits[s] += acc.hits[s];
+  const std::vector<std::size_t> counts =
+      spec.cluster_counts.empty() ? fig1_cluster_ladder() : spec.cluster_counts;
+  {
+    std::set<std::size_t> seen;
+    for (const std::size_t n : counts) {
+      if (n < 2)
+        throw InvalidInput("--clusters: a race needs at least 2 clusters, got " +
+                           std::to_string(n));
+      if (!seen.insert(n).second)
+        throw InvalidInput("--clusters: count " + std::to_string(n) +
+                           " listed more than once");
+      if (spec.root >= n)
+        throw InvalidInput("--root=" + std::to_string(spec.root) +
+                           " is out of range for a " + std::to_string(n) +
+                           "-cluster point");
     }
-    total.global_min.merge(acc.global_min);
+  }
+  const std::size_t n_points = counts.size();
+  const std::size_t n_blocks =
+      race_block_count(n_points, spec.iterations, spec.block_iters);
+
+  auto& registry = collective::backend_registry();
+  const std::string backend_name = registry.resolve(spec.backend);
+
+  // Probe the backend's capabilities against a throwaway realised grid —
+  // executing backends refuse construction without one, and we cannot know
+  // a backend is instance-only before constructing it.
+  const sched::Instance probe_inst(0, SquareMatrix<Time>(2, 0.0),
+                                   SquareMatrix<Time>(2, 0.0),
+                                   std::vector<Time>(2, 0.0));
+  const topology::Grid probe_grid = realise_instance(probe_inst);
+  collective::BackendOptions bopts;
+  bopts.grid = &probe_grid;
+  bopts.jitter = {spec.jitter};
+  const collective::BackendPtr probe = registry.make(backend_name, bopts);
+  if (!probe->supports(collective::Verb::kBcast))
+    throw InvalidInput("backend '" + backend_name +
+                       "' does not implement broadcast");
+  if (!probe->instance_only() && !spec.realise)
+    throw InvalidInput(
+        "backend '" + backend_name +
+        "' executes on a concrete grid and cannot time the race's sampled "
+        "Table 2 instances (instance_only() mismatch); pass --realise to "
+        "execute every draw on a synthetic grid realisation");
+
+  // The shared backend of the sampled path.  Constructed without a grid:
+  // instance-only backends ignore BackendOptions entirely, and holding the
+  // probe grid's address past this scope would dangle.
+  collective::BackendPtr shared_backend;
+  if (!spec.realise)
+    shared_backend = registry.make(backend_name, collective::BackendOptions{});
+
+  const std::size_t n_comps = comps.size();
+  const std::size_t n_series = n_comps + 1;  // + GlobalMin
+
+  io::BenchReport r;
+  r.bench = "montecarlo";
+  r.grid = spec.realise ? "table2_realised" : "table2_sampled";
+  r.mode = probe->mode_label();
+  r.root = spec.root;
+  r.seed = spec.seed;
+  r.jitter = spec.jitter;
+  r.iterations = spec.iterations;
+  r.block_iters = spec.block_iters;
+  r.shards = spec.shard.shards;
+  r.shard = spec.shard.shard;
+  r.sizes.assign(counts.begin(), counts.end());
+  r.series.resize(n_series);
+  for (std::size_t s = 0; s < n_comps; ++s) r.series[s].name = comps[s].name();
+  r.series[n_comps].name = "GlobalMin";
+  for (std::size_t s = 0; s < n_series; ++s) {
+    r.series[s].block_sum_s.assign(n_points,
+                                   std::vector<double>(n_blocks, kNaN));
+    if (s < n_comps)
+      r.series[s].block_hits.assign(n_points,
+                                    std::vector<double>(n_blocks, kNaN));
   }
 
-  RaceResult out;
-  out.names.reserve(comps.size());
-  for (const auto& c : comps) out.names.emplace_back(c.name());
-  out.makespan = std::move(total.makespan);
-  out.hits = std::move(total.hits);
-  out.global_min = total.global_min;
-  out.iterations = cfg.iterations;
-  return out;
+  // One task per (point, block) cell: all competitors race the cell's
+  // draws together (hits need the per-iteration minimum across the whole
+  // field), sums accumulate in iteration order within the block, and the
+  // block grid is fixed by (iterations, block_iters) alone — so any shard
+  // count, thread count or competitor superset reproduces these numbers
+  // bit for bit.
+  pool.parallel_for(
+      n_points * n_blocks, [&](std::size_t lo, std::size_t hi) {
+        std::vector<Time> mk(n_comps);
+        sched::Instance drawn;  // storage reused across iterations
+        for (std::size_t cell = lo; cell < hi; ++cell) {
+          if (!spec.shard.owns(cell)) continue;
+          const std::size_t p = cell / n_blocks;
+          const std::size_t b = cell % n_blocks;
+          const std::size_t n = counts[p];
+          const std::uint64_t it_lo = b * spec.block_iters;
+          const std::uint64_t it_hi =
+              std::min<std::uint64_t>(spec.iterations,
+                                      it_lo + spec.block_iters);
+
+          std::vector<double> sums(n_series, 0.0);
+          std::vector<std::uint64_t> hits(n_comps, 0);
+          for (std::uint64_t it = it_lo; it < it_hi; ++it) {
+            Rng rng = Rng::stream(race_instance_seed(spec.seed, n), it);
+            sample_instance_into(spec.ranges, n, rng, spec.root, drawn);
+
+            // The realised path executes on a per-draw synthetic grid; the
+            // heuristics then see the instance *derived* from that grid —
+            // bit-identical to the draw by realise_instance's contract,
+            // but derived, so the whole pipeline is the executing one.
+            std::optional<topology::Grid> grid;
+            std::optional<sched::Instance> derived;
+            collective::BackendPtr local;
+            const collective::Backend* backend = shared_backend.get();
+            const sched::Instance* inst = &drawn;
+            if (spec.realise) {
+              grid.emplace(realise_instance(drawn));
+              derived.emplace(
+                  sched::Instance::from_grid(*grid, spec.root, MiB(1)));
+              collective::BackendOptions cell_opts;
+              cell_opts.grid = &*grid;
+              cell_opts.jitter = {spec.jitter};
+              local = registry.make(backend_name, cell_opts);
+              backend = local.get();
+              inst = &*derived;
+            }
+
+            Time best = std::numeric_limits<Time>::infinity();
+            for (std::size_t s = 0; s < n_comps; ++s) {
+              const sched::SchedulerRuntimeInfo info(
+                  *inst, spec.realise ? MiB(1) : Bytes{0},
+                  comps[s].options().completion);
+              // A race cannot skip a refusing entry per iteration without
+              // skewing the hit-rate denominator, so a refusal is a
+              // designed error; grid sweeps are where gated entries are
+              // skipped (backend_sweep).
+              if (!comps[s].entry().can_schedule(info))
+                throw InvalidInput(
+                    "scheduler '" + std::string(comps[s].name()) +
+                    "' refused a sampled instance (" + std::to_string(n) +
+                    " clusters, iteration " + std::to_string(it) +
+                    "): the Monte-Carlo race needs entries that accept "
+                    "every draw; shape-gated entries belong in grid "
+                    "sweeps, which skip them");
+              mk[s] = backend
+                          ->bcast(comps[s].entry(), info,
+                                  race_exec_seed(spec.seed, n, it,
+                                                 comps[s].name()))
+                          .completion;
+              sums[s] += mk[s];
+              best = std::min(best, mk[s]);
+            }
+            sums[n_comps] += best;
+            const Time cutoff = best * (1.0 + spec.hit_epsilon);
+            for (std::size_t s = 0; s < n_comps; ++s)
+              if (mk[s] <= cutoff) ++hits[s];
+          }
+
+          for (std::size_t s = 0; s < n_series; ++s)
+            r.series[s].block_sum_s[p][b] = sums[s];
+          for (std::size_t s = 0; s < n_comps; ++s)
+            r.series[s].block_hits[p][b] =
+                static_cast<double>(hits[s]);
+        }
+      });
+
+  // Unsharded runs reduce to the final form directly, folding blocks in
+  // block order — the exact computation merge_race_grid_shards performs —
+  // so a merged shard set is byte-identical to this.
+  if (spec.shard.shards == 1) {
+    for (std::size_t s = 0; s < n_series; ++s) {
+      auto& series = r.series[s];
+      series.makespan_s.assign(n_points, 0.0);
+      if (s < n_comps) series.hits.assign(n_points, 0.0);
+      for (std::size_t p = 0; p < n_points; ++p) {
+        double total = 0.0;
+        for (std::size_t b = 0; b < n_blocks; ++b)
+          total += series.block_sum_s[p][b];
+        series.makespan_s[p] =
+            total / static_cast<double>(spec.iterations);
+        if (s < n_comps) {
+          double h = 0.0;
+          for (std::size_t b = 0; b < n_blocks; ++b)
+            h += series.block_hits[p][b];
+          series.hits[p] = h;
+        }
+      }
+      series.block_sum_s.clear();
+      series.block_hits.clear();
+    }
+    r.block_iters = 0;
+  }
+  return r;
 }
 
-RaceResult run_race(const std::vector<sched::Scheduler>& comps,
-                    const RaceConfig& cfg, ThreadPool& pool) {
-  const collective::PlogpBackend backend;
-  return run_race(backend, comps, cfg, pool);
+io::BenchReport merge_race_grid_shards(
+    const std::vector<io::BenchReport>& shards) {
+  using R = io::BenchReport;
+  static constexpr ShardField kFields[] = {
+      {"bench", same_field<&R::bench>},
+      {"grid", same_field<&R::grid>},
+      {"mode", same_field<&R::mode>},
+      {"root", same_field<&R::root>},
+      {"seed", same_field<&R::seed>},
+      {"iterations", same_field<&R::iterations>},
+      {"block_iters", same_field<&R::block_iters>},
+      {"clusters", same_field<&R::sizes>},
+      // Jitter only means something to the executing backend.
+      {"jitter", [](const R& a, const R& b) {
+         return a.mode != "measured" || a.jitter == b.jitter;
+       }},
+  };
+  if (!shards.empty() && !shards.front().is_montecarlo())
+    throw InvalidInput("merge: not a Monte-Carlo race report");
+  validate_shard_set(shards, kFields);
+  const io::BenchReport& ref = shards.front();
+  const std::size_t n = ref.shards;
+  if (n == 1) {
+    if (ref.shard_form())
+      throw InvalidInput("merge: single-shard race report in shard form");
+    return ref;
+  }
+
+  for (const auto& s : shards) {
+    if (!s.shard_form())
+      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
+                         " is not in shard form");
+    for (std::size_t i = 0; i < s.series.size(); ++i) {
+      if (s.series[i].block_hits.empty() !=
+          ref.series[i].block_hits.empty())
+        throw InvalidInput("merge: shard " + std::to_string(s.shard) +
+                           " hit tracking disagrees for series '" +
+                           s.series[i].name + "'");
+      // Same contract as the sweep merge: the fold below indexes
+      // [point][block] unconditionally.
+      GRIDCAST_ASSERT(s.series[i].block_sum_s.size() == ref.sizes.size(),
+                      "merge precondition: block rows must cover the axis");
+      for (const auto& row : s.series[i].block_sum_s)
+        GRIDCAST_ASSERT(row.size() == ref.block_count(),
+                        "merge precondition: block row depth mismatch");
+    }
+  }
+
+  const std::size_t n_points = ref.sizes.size();
+  const std::size_t n_blocks = ref.block_count();
+
+  io::BenchReport out = ref;
+  out.shards = 1;
+  out.shard = 0;
+  out.block_iters = 0;
+  for (std::size_t s = 0; s < out.series.size(); ++s) {
+    auto& series = out.series[s];
+    const bool tracked = !series.block_hits.empty();
+    series.makespan_s.assign(n_points, 0.0);
+    if (tracked) series.hits.assign(n_points, 0.0);
+
+    for (std::size_t p = 0; p < n_points; ++p) {
+      double total = 0.0;
+      double hit_total = 0.0;
+      for (std::size_t b = 0; b < n_blocks; ++b) {
+        const std::size_t cell = p * n_blocks + b;
+        const std::size_t owner = cell % n;
+        double sum = kNaN;
+        double hit = kNaN;
+        for (const auto& shard : shards) {
+          const double v = shard.series[s].block_sum_s[p][b];
+          if (shard.shard == owner) {
+            sum = v;
+            if (tracked) hit = shard.series[s].block_hits[p][b];
+          } else if (!std::isnan(v)) {
+            throw InvalidInput(
+                "merge: cell (clusters " + std::to_string(ref.sizes[p]) +
+                ", block " + std::to_string(b) + ") computed by shard " +
+                std::to_string(shard.shard) + " but owned by shard " +
+                std::to_string(owner));
+          }
+        }
+        if (std::isnan(sum) || (tracked && std::isnan(hit)))
+          throw InvalidInput("merge: cell (clusters " +
+                             std::to_string(ref.sizes[p]) + ", block " +
+                             std::to_string(b) + ") was never computed");
+        total += sum;
+        if (tracked) hit_total += hit;
+      }
+      series.makespan_s[p] =
+          total / static_cast<double>(ref.iterations);
+      if (tracked) series.hits[p] = hit_total;
+    }
+    series.block_sum_s.clear();
+    series.block_hits.clear();
+  }
+  return out;
 }
 
 }  // namespace gridcast::exp

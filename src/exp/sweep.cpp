@@ -1,8 +1,12 @@
 #include "exp/sweep.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <limits>
+#include <set>
 
-#include "collective/backends.hpp"
+#include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -10,7 +14,7 @@ namespace gridcast::exp {
 
 namespace {
 
-constexpr double kUnowned = std::numeric_limits<double>::quiet_NaN();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
@@ -137,7 +141,7 @@ SweepResult backend_sweep(const collective::Backend& backend,
   for (std::size_t s = 0; s < raced.size(); ++s)
     out.series[s + base].name = raced[s]->name();
   for (auto& series : out.series)
-    series.completion.assign(sizes.size(), kUnowned);
+    series.completion.assign(sizes.size(), kNaN);
 
   // One task per (size, series) cell, written by index, so any worker
   // count produces the same result and foreign shards' cells stay NaN.
@@ -189,53 +193,251 @@ SweepResult backend_sweep(const collective::Backend& backend,
   return out;
 }
 
-SweepResult predicted_sweep(InstanceCache& cache, ClusterId root,
-                            const std::vector<sched::Scheduler>& comps,
-                            std::span<const Bytes> sizes, ThreadPool& pool,
-                            ShardSpec shard) {
-  const collective::PlogpBackend backend;
-  return backend_sweep(backend, cache, root, comps, sizes, /*seed=*/0, pool,
-                       shard);
+std::vector<sched::Scheduler> resolve_competitors(
+    const std::vector<std::string>& names, sched::HeuristicOptions opts) {
+  std::vector<sched::Scheduler> out;
+  out.reserve(names.size());
+  for (const auto& name : names)
+    out.emplace_back(name, opts);  // throws, listing registered names
+  // Duplicate series would make merge coverage and the baseline gate
+  // ambiguous; reject them by canonical name so `ecef-lat,ECEF-LAT` is
+  // caught too.
+  std::set<std::string_view> seen;
+  for (const auto& c : out)
+    if (!seen.insert(c.name()).second)
+      throw InvalidInput("scheduler '" + std::string(c.name()) +
+                         "' selected more than once");
+  return out;
 }
 
-SweepResult predicted_sweep(const topology::Grid& grid, ClusterId root,
-                            const std::vector<sched::Scheduler>& comps,
-                            std::span<const Bytes> sizes, ThreadPool& pool) {
-  InstanceCache cache(grid);
-  return predicted_sweep(cache, root, comps, sizes, pool);
+io::BenchReport run_race_sweep(InstanceCache& cache,
+                               const std::string& grid_name,
+                               const RaceSpec& spec, ThreadPool& pool,
+                               std::vector<std::string>* skipped) {
+  using clock = std::chrono::steady_clock;
+
+  if (spec.sched_names.empty())
+    throw InvalidInput("no schedulers selected (use --sched=a,b,c or all)");
+  if (spec.wall && spec.shard.shards > 1)
+    throw InvalidInput(
+        "--wall requires an unsharded run (wall time is machine-local and "
+        "would break shard-merge byte-identity)");
+  if (spec.sched_cost && spec.shard.shards > 1)
+    throw InvalidInput(
+        "--sched-cost requires an unsharded run (selection cost is "
+        "machine-local and would break shard-merge byte-identity)");
+  spec.shard.validate();
+  if (spec.root >= cache.grid().cluster_count())
+    throw InvalidInput("--root=" + std::to_string(spec.root) +
+                       " is out of range for a " +
+                       std::to_string(cache.grid().cluster_count()) +
+                       "-cluster grid");
+
+  sched::HeuristicOptions opts;
+  opts.completion = spec.completion;
+  opts.prune = spec.prune;
+  const std::vector<sched::Scheduler> comps =
+      resolve_competitors(spec.sched_names, opts);
+  const std::vector<Bytes> sizes =
+      spec.sizes.empty() ? default_size_ladder() : spec.sizes;
+
+  collective::BackendOptions bopts;
+  bopts.grid = &cache.grid();
+  bopts.jitter = {spec.jitter};
+  const collective::BackendPtr backend =
+      collective::backend_registry().make(spec.backend, bopts);
+
+  const SweepResult sweep =
+      backend_sweep(*backend, cache, spec.root, comps, sizes, spec.seed, pool,
+                    spec.shard, spec.verb);
+  if (skipped != nullptr)
+    skipped->insert(skipped->end(), sweep.skipped.begin(),
+                    sweep.skipped.end());
+
+  io::BenchReport r;
+  r.bench = "race";
+  r.grid = grid_name;
+  r.mode = backend->mode_label();
+  r.verb = collective::verb_name(spec.verb);
+  r.root = spec.root;
+  r.seed = spec.seed;
+  r.jitter = spec.jitter;
+  r.shards = spec.shard.shards;
+  r.shard = spec.shard.shard;
+  r.sizes = sweep.sizes;
+  r.series.reserve(sweep.series.size());
+  for (const auto& s : sweep.series) {
+    io::BenchSeries row;
+    row.name = s.name;
+    row.makespan_s = s.completion;
+    r.series.push_back(std::move(row));
+  }
+
+  if (spec.wall) {
+    // Scheduling cost only (the paper's Section 7 complexity concern):
+    // instances come pre-derived from the cache, the loop runs
+    // single-threaded, and we keep the *minimum* of several passes — the
+    // standard robust estimator — so the number is comparable run over
+    // run and across CI machines.  Series are matched by name: the
+    // backend's baseline row (which schedules nothing) and any gated-out
+    // competitor have no wall time.
+    constexpr int kWallPasses = 10;
+    for (const Bytes m : sizes) (void)cache.get(spec.root, m);
+    for (const auto& comp : comps) {
+      io::BenchSeries* series = nullptr;
+      for (auto& s : r.series)
+        if (s.name == comp.name()) series = &s;
+      if (series == nullptr) continue;  // gated out
+      double best = std::numeric_limits<double>::infinity();
+      for (int pass = -1; pass < kWallPasses; ++pass) {  // -1 = warmup
+        const auto t0 = clock::now();
+        for (const Bytes m : sizes)
+          (void)comp.makespan(*cache.get(spec.root, m));
+        const double dt =
+            std::chrono::duration<double>(clock::now() - t0).count();
+        if (pass >= 0) best = std::min(best, dt);
+      }
+      series->wall_time_s = best;
+    }
+  }
+
+  if (spec.sched_cost) {
+    // Per-selection cost at every ladder point: how long one `order()`
+    // call takes, min over passes like the wall loop.  This is the budget
+    // that keeps composite selectors ("auto") honest — their selection
+    // walks the whole registry, and the baseline gate bounds that walk
+    // one-sided via `micro_scheduling_cost_s`.  Cells a competitor never
+    // scheduled (it was gated out at that point, or it is the backend's
+    // baseline row) stay NaN and the gate skips them.
+    constexpr int kCostPasses = 10;
+    for (const Bytes m : sizes) (void)cache.get(spec.root, m);
+    for (const auto& comp : comps) {
+      io::BenchSeries* series = nullptr;
+      for (auto& s : r.series)
+        if (s.name == comp.name()) series = &s;
+      if (series == nullptr) continue;  // gated out
+      series->micro_scheduling_cost_s.assign(sizes.size(), kNaN);
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const sched::SchedulerRuntimeInfo info(
+            *cache.get(spec.root, sizes[i]), sizes[i],
+            comp.options().completion);
+        if (!comp.entry().can_schedule(info)) continue;
+        double best = std::numeric_limits<double>::infinity();
+        for (int pass = -1; pass < kCostPasses; ++pass) {  // -1 = warmup
+          const auto t0 = clock::now();
+          (void)comp.order(info);
+          const double dt =
+              std::chrono::duration<double>(clock::now() - t0).count();
+          if (pass >= 0) best = std::min(best, dt);
+        }
+        series->micro_scheduling_cost_s[i] = best;
+      }
+    }
+  }
+  return r;
 }
 
-SweepResult predicted_sweep(const topology::Grid& grid, ClusterId root,
-                            const std::vector<sched::Scheduler>& comps,
-                            std::span<const Bytes> sizes) {
-  ThreadPool inline_pool(0);
-  return predicted_sweep(grid, root, comps, sizes, inline_pool);
+void validate_shard_set(const std::vector<io::BenchReport>& shards,
+                        std::span<const ShardField> fields) {
+  if (shards.empty()) throw InvalidInput("merge: no shard reports given");
+  const io::BenchReport& ref = shards.front();
+  const std::size_t n = ref.shards;
+  if (shards.size() != n)
+    throw InvalidInput("merge: report declares " + std::to_string(n) +
+                       " shards but " + std::to_string(shards.size()) +
+                       " files were given");
+  std::set<std::size_t> indices;
+  for (const auto& s : shards) {
+    const std::string who = "merge: shard " + std::to_string(s.shard);
+    for (const ShardField& f : fields)
+      if (!f.same(s, ref))
+        throw InvalidInput(who + " " + f.name + " does not match shard " +
+                           std::to_string(ref.shard));
+    if (s.shards != n)
+      throw InvalidInput(who + " declares a different shard count");
+    if (s.shard >= n)
+      throw InvalidInput(who + " is out of range for " + std::to_string(n) +
+                         " shards");
+    if (!indices.insert(s.shard).second)
+      throw InvalidInput(who + " appears twice");
+    if (s.series.size() != ref.series.size())
+      throw InvalidInput(who + " has a different series count");
+    for (std::size_t i = 0; i < s.series.size(); ++i)
+      if (s.series[i].name != ref.series[i].name)
+        throw InvalidInput(who + " series order/name mismatch at index " +
+                           std::to_string(i));
+  }
 }
 
-SweepResult measured_sweep(InstanceCache& cache, ClusterId root,
-                           const std::vector<sched::Scheduler>& comps,
-                           std::span<const Bytes> sizes,
-                           sim::JitterConfig jitter, std::uint64_t seed,
-                           ThreadPool& pool, ShardSpec shard) {
-  const collective::SimBackend backend(cache.grid(), jitter);
-  return backend_sweep(backend, cache, root, comps, sizes, seed, pool, shard);
-}
+io::BenchReport merge_race_shards(const std::vector<io::BenchReport>& shards) {
+  using R = io::BenchReport;
+  static constexpr ShardField kFields[] = {
+      {"bench", same_field<&R::bench>},
+      {"grid", same_field<&R::grid>},
+      {"mode", same_field<&R::mode>},
+      {"verb", same_field<&R::verb>},
+      {"root", same_field<&R::root>},
+      {"sizes", same_field<&R::sizes>},
+      // Seed and jitter only mean something to the executing backend.
+      {"seed", [](const R& a, const R& b) {
+         return a.mode != "measured" || a.seed == b.seed;
+       }},
+      {"jitter", [](const R& a, const R& b) {
+         return a.mode != "measured" || a.jitter == b.jitter;
+       }},
+  };
+  if (!shards.empty() && shards.front().is_montecarlo())
+    throw InvalidInput(
+        "merge: Monte-Carlo race shards go through merge_race_grid_shards");
+  validate_shard_set(shards, kFields);
+  const io::BenchReport& ref = shards.front();
+  const std::size_t n = ref.shards;
+  // Parsed reports arrive with the axis covered (the reader's grammar
+  // wall); a programmatic caller handing us a short row would read out of
+  // bounds in the fold below.
+  for (const auto& s : shards)
+    for (const auto& row : s.series)
+      GRIDCAST_ASSERT(row.makespan_s.size() == ref.sizes.size(),
+                      "merge precondition: series cells must cover the axis");
 
-SweepResult measured_sweep(const topology::Grid& grid, ClusterId root,
-                           const std::vector<sched::Scheduler>& comps,
-                           std::span<const Bytes> sizes,
-                           sim::JitterConfig jitter, std::uint64_t seed,
-                           ThreadPool& pool) {
-  InstanceCache cache(grid);
-  return measured_sweep(cache, root, comps, sizes, jitter, seed, pool);
-}
-
-SweepResult measured_sweep(const topology::Grid& grid, ClusterId root,
-                           const std::vector<sched::Scheduler>& comps,
-                           std::span<const Bytes> sizes,
-                           sim::JitterConfig jitter, std::uint64_t seed) {
-  ThreadPool inline_pool(0);
-  return measured_sweep(grid, root, comps, sizes, jitter, seed, inline_pool);
+  io::BenchReport out = ref;
+  out.shards = 1;
+  out.shard = 0;
+  const std::size_t n_series = ref.series.size();
+  for (std::size_t i = 0; i < ref.sizes.size(); ++i) {
+    for (std::size_t s = 0; s < n_series; ++s) {
+      const std::size_t cell = i * n_series + s;
+      const std::size_t owner = cell % n;
+      double value = kNaN;
+      for (const auto& shard : shards) {
+        const double v = shard.series[s].makespan_s[i];
+        if (shard.shard == owner) {
+          value = v;
+        } else if (!std::isnan(v)) {
+          throw InvalidInput(
+              "merge: cell (size " + std::to_string(ref.sizes[i]) +
+              ", series '" + ref.series[s].name + "') computed by shard " +
+              std::to_string(shard.shard) + " but owned by shard " +
+              std::to_string(owner));
+        }
+      }
+      if (std::isnan(value))
+        throw InvalidInput("merge: cell (size " +
+                           std::to_string(ref.sizes[i]) + ", series '" +
+                           ref.series[s].name + "') was never computed");
+      out.series[s].makespan_s[i] = value;
+    }
+  }
+  // Sharded runs never time scheduling (wall and selection cost are
+  // machine-local); only a trivial single-shard merge can carry them
+  // through.
+  if (n > 1) {
+    for (auto& s : out.series) {
+      s.wall_time_s = kNaN;
+      s.micro_scheduling_cost_s.clear();
+    }
+  }
+  return out;
 }
 
 }  // namespace gridcast::exp

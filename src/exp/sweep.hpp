@@ -8,10 +8,9 @@
 
 #include "collective/backend.hpp"
 #include "exp/instance_cache.hpp"
+#include "io/bench_json.hpp"
 #include "sched/registry.hpp"
-#include "sim/network.hpp"
 #include "support/thread_pool.hpp"
-#include "topology/grid.hpp"
 
 /// Message-size sweeps over a concrete grid (Figs. 5 and 6).
 ///
@@ -21,8 +20,9 @@
 /// (the Fig. 5 curves), the "sim" backend executes every point-to-point
 /// message on the discrete-event simulator (the Fig. 6 substitute,
 /// DESIGN.md substitution table) and contributes the grid-unaware binomial
-/// baseline the paper labels "Default LAM".  The legacy predicted/measured
-/// entry points remain as thin wrappers over the two built-in backends.
+/// baseline the paper labels "Default LAM".  `run_race_sweep` wraps it for
+/// `gridcast_race`: registry names in, a shardable `io::BenchReport` out,
+/// recombined by `merge_race_shards`.
 namespace gridcast::exp {
 
 /// One strategy's series over the sweep sizes.
@@ -89,39 +89,81 @@ struct ShardSpec {
     std::uint64_t seed, ThreadPool& pool, ShardSpec shard = {},
     collective::Verb verb = collective::Verb::kBcast);
 
-/// Model-predicted completion per size and scheduler (Fig. 5) — the
-/// "plogp" backend.  The overloads without a cache build a private one;
-/// the overload without a pool runs inline.
-[[nodiscard]] SweepResult predicted_sweep(
-    InstanceCache& cache, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    ThreadPool& pool, ShardSpec shard = {});
-[[nodiscard]] SweepResult predicted_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    ThreadPool& pool);
-[[nodiscard]] SweepResult predicted_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes);
+/// What `run_race_sweep` races.  `sched_names` are scheduler-registry
+/// names (canonical or alias); empty `sizes` means `default_size_ladder()`;
+/// `backend` is a backend-registry name ("plogp"/"sim", or the legacy
+/// "predicted"/"measured" aliases).
+struct RaceSpec {
+  std::vector<std::string> sched_names;
+  std::vector<Bytes> sizes;
+  ClusterId root = 0;
+  std::string backend = "plogp";
+  /// Which collective the sweep races (`--verb`): broadcast by default,
+  /// scatter (sizes = per-rank blocks) or all-to-all (sizes = per-rank-
+  /// pair blocks).  A backend that does not support the verb fails with a
+  /// one-line diagnostic.
+  collective::Verb verb = collective::Verb::kBcast;
+  sched::CompletionModel completion = sched::CompletionModel::kEager;
+  double jitter = 0.05;     ///< sim backend only
+  std::uint64_t seed = 1;   ///< non-deterministic backends only
+  ShardSpec shard = {};
+  /// Also time each heuristic's scheduling cost (wall_time_s, the paper's
+  /// Section 7 complexity concern).  Unsharded runs only: wall time is
+  /// machine-dependent and would break shard-merge byte-identity.
+  bool wall = false;
+  /// Also time each competitor's *per-selection* cost at every ladder
+  /// point (`micro_scheduling_cost_s`, min over timing passes) — the
+  /// budget that keeps composite selectors ("auto") honest.  Unsharded
+  /// runs only, like `wall`.
+  bool sched_cost = false;
+  /// Lower-bound pruning in composite selectors ("auto"); `--no-prune`
+  /// clears it.  A pure optimisation: winners and reports are
+  /// byte-identical either way (tests and CI pin exactly that).
+  bool prune = true;
+};
 
-/// Simulator-measured completion per size and scheduler, plus the
-/// "DefaultLAM" grid-unaware binomial series (Fig. 6) — the "sim" backend.
-/// `jitter` perturbs per-message gap/latency; `seed` drives it.  Every
-/// (size, series) cell simulates on its own Network seeded by
-/// `measured_cell_seed`, so the result is identical for any worker count
-/// *and* any competitor set.
-[[nodiscard]] SweepResult measured_sweep(
-    InstanceCache& cache, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    sim::JitterConfig jitter, std::uint64_t seed, ThreadPool& pool,
-    ShardSpec shard = {});
-[[nodiscard]] SweepResult measured_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    sim::JitterConfig jitter, std::uint64_t seed, ThreadPool& pool);
-[[nodiscard]] SweepResult measured_sweep(
-    const topology::Grid& grid, ClusterId root,
-    const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    sim::JitterConfig jitter, std::uint64_t seed);
+/// Resolve registry names into Scheduler handles; an unknown name throws
+/// InvalidInput listing every registered scheduler, and so does a name
+/// selected twice (also via an alias).
+[[nodiscard]] std::vector<sched::Scheduler> resolve_competitors(
+    const std::vector<std::string>& names, sched::HeuristicOptions opts);
+
+/// Race `spec` over the cache's grid through the backend `spec.backend`
+/// names, as a `bench == "race"` report.  Only cells owned by `spec.shard`
+/// are computed (the rest serialise as null); `grid_name` is recorded in
+/// the report so merges and baseline comparisons can refuse mismatched
+/// inputs.  Schedulers gated out by `can_schedule` get no series; their
+/// names are appended to `skipped` when given.
+[[nodiscard]] io::BenchReport run_race_sweep(
+    InstanceCache& cache, const std::string& grid_name, const RaceSpec& spec,
+    ThreadPool& pool, std::vector<std::string>* skipped = nullptr);
+
+/// Recombine one sweep report per shard (any order) into the report an
+/// unsharded run would have produced — byte-identical once serialised.
+/// Throws InvalidInput on an invalid shard set (`validate_shard_set`) or
+/// cells covered by zero or multiple shards.
+[[nodiscard]] io::BenchReport merge_race_shards(
+    const std::vector<io::BenchReport>& shards);
+
+/// One metadata field every report of a shard set must agree on: its name
+/// for the diagnostic and an equality test.
+struct ShardField {
+  const char* name;
+  bool (*same)(const io::BenchReport& a, const io::BenchReport& b);
+};
+
+/// `ShardField::same` for a plain report member.
+template <auto Member>
+bool same_field(const io::BenchReport& a, const io::BenchReport& b) {
+  return a.*Member == b.*Member;
+}
+
+/// The checks both merges (sweep and Monte-Carlo) share before folding:
+/// the set is non-empty and holds exactly the declared shard count; every
+/// shard declares that count under a distinct in-range index (so none is
+/// missing); every `fields` entry matches the first shard; and the series
+/// names agree in order.  Throws InvalidInput naming the offending shard.
+void validate_shard_set(const std::vector<io::BenchReport>& shards,
+                        std::span<const ShardField> fields);
 
 }  // namespace gridcast::exp

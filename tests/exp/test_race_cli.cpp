@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -489,9 +490,30 @@ TEST(RaceGrid, MergeRejectsBadShardSets) {
   bad[1].seed ^= 1;
   EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
 
+  // An index outside the declared count leaves a shard missing.
+  bad = shards;
+  bad[1].shard = 2;
+  EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
+
   // Monte-Carlo shards must not slip through the sweep merge, nor sweep
   // shards through this one.
   EXPECT_THROW((void)merge_race_shards(shards), InvalidInput);
+}
+
+TEST(RaceGrid, OversizedCellGridIsInvalidInput) {
+  // The block count is computed without wrapping and the (point x block)
+  // grid is capped before anything is allocated.
+  ThreadPool pool(0);
+  RaceGridSpec spec = tiny_race();
+  spec.iterations = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)run_race_grid(spec, pool), InvalidInput);
+  spec.iterations = 1000000000000000ULL;
+  EXPECT_THROW((void)run_race_grid(spec, pool), InvalidInput);
+  EXPECT_EQ(race_block_count(2, 12, 4), 3u);
+  EXPECT_EQ(race_block_count(2, 13, 4), 4u);
+  EXPECT_EQ(race_block_count(1, std::numeric_limits<std::uint64_t>::max(),
+                             std::numeric_limits<std::uint64_t>::max()),
+            1u);
 }
 
 TEST(RaceGrid, RealiseParityWithTheSampledPath) {
@@ -623,6 +645,11 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
   // and fails the test).  Runs are kept to one size or one tiny draw.
   const std::string sweep = "--sizes=1M";
   const std::string one = "--sched=FlatTree";
+  // A report gated against itself passes at any sane tolerance.
+  const std::string golden =
+      std::string(GRIDCAST_TEST_DATA_DIR) + "/race_golden.json";
+  const std::string check = "--check=" + golden;
+  const std::string gate = "--baseline=" + golden;
   const std::vector<std::vector<std::string>> rows = {
       // --root past the grid (grid5000 has 6 clusters), sweep and race.
       {"--root=99", sweep, one},
@@ -641,6 +668,23 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
       {"--backend=sim", "--jitter=0.75", "--verb=scatter", sweep, one},
       {"--race", "--backend=sim", "--realise", "--jitter=0.5",
        "--clusters=3", "--iters=2"},
+      // --iters whose (point x block) grid wraps the block count or
+      // exhausts memory.
+      {"--race", "--clusters=2", "--iters=18446744073709551615"},
+      {"--race", "--clusters=2", "--iters=1000000000000000"},
+      // --threads past the worker cap.
+      {"--threads=18446744073709551615", sweep, one},
+      // Gate tolerances: inf would pass every drift check, NaN or a
+      // negative value would fail every one.
+      {check, gate, "--rtol=inf"},
+      {check, gate, "--rtol=nan"},
+      {check, gate, "--rtol=-1e-6"},
+      {check, gate, "--wall-tol=inf"},
+      {check, gate, "--wall-tol=nan"},
+      {check, gate, "--wall-tol=0"},
+      {check, gate, "--throughput-tol=inf"},
+      {check, gate, "--throughput-tol=nan"},
+      {check, gate, "--throughput-tol=-10"},
       // Already refused before; kept in the table as regression rows.
       {"--threads=-1"},
       {"--seed=abc"},

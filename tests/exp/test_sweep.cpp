@@ -4,10 +4,34 @@
 
 #include <cmath>
 
+#include "collective/backends.hpp"
 #include "topology/grid5000.hpp"
 
 namespace gridcast::exp {
 namespace {
+
+/// The Fig. 5 sweep: `backend_sweep` through the analytic "plogp" backend
+/// from root 0, on a pool of `workers` (0 = inline).
+SweepResult plogp_sweep(const topology::Grid& grid,
+                        const std::vector<sched::Scheduler>& comps,
+                        std::span<const Bytes> sizes,
+                        std::size_t workers = 0) {
+  InstanceCache cache(grid);
+  ThreadPool pool(workers);
+  return backend_sweep(collective::PlogpBackend(), cache, 0, comps, sizes,
+                       /*seed=*/0, pool);
+}
+
+/// The Fig. 6 sweep: the same through the "sim" backend.
+SweepResult sim_sweep(const topology::Grid& grid,
+                      const std::vector<sched::Scheduler>& comps,
+                      std::span<const Bytes> sizes, sim::JitterConfig jitter,
+                      std::uint64_t seed, std::size_t workers = 0) {
+  InstanceCache cache(grid);
+  ThreadPool pool(workers);
+  return backend_sweep(collective::SimBackend(grid, jitter), cache, 0, comps,
+                       sizes, seed, pool);
+}
 
 TEST(Sweep, DefaultLadderMatchesThePaperAxis) {
   // Fig. 5/6: 256 KiB steps from 256 KiB to 4 MiB — exactly 16 points.
@@ -24,7 +48,7 @@ TEST(Sweep, PredictedSeriesShapes) {
   const auto grid = topology::grid5000_testbed();
   const auto comps = sched::paper_heuristics();
   const std::vector<Bytes> sizes{KiB(512), MiB(1), MiB(2)};
-  const SweepResult r = predicted_sweep(grid, 0, comps, sizes);
+  const SweepResult r = plogp_sweep(grid, comps, sizes);
   ASSERT_EQ(r.series.size(), comps.size());
   ASSERT_EQ(r.sizes.size(), 3u);
   for (const auto& s : r.series) {
@@ -38,7 +62,7 @@ TEST(Sweep, PredictedNamesMatchSchedulers) {
   const auto grid = topology::grid5000_testbed();
   const auto comps = sched::paper_heuristics();
   const std::vector<Bytes> sizes{MiB(1)};
-  const SweepResult r = predicted_sweep(grid, 0, comps, sizes);
+  const SweepResult r = plogp_sweep(grid, comps, sizes);
   EXPECT_EQ(r.series[0].name, "FlatTree");
   EXPECT_EQ(r.series[6].name, "BottomUp");
 }
@@ -47,7 +71,7 @@ TEST(Sweep, MeasuredIncludesDefaultLam) {
   const auto grid = topology::grid5000_testbed();
   const auto comps = sched::ecef_family();
   const std::vector<Bytes> sizes{KiB(512), MiB(1)};
-  const SweepResult r = measured_sweep(grid, 0, comps, sizes, {}, 1);
+  const SweepResult r = sim_sweep(grid, comps, sizes, {}, 1);
   ASSERT_EQ(r.series.size(), comps.size() + 1);
   EXPECT_EQ(r.series[0].name, "DefaultLAM");
   for (const auto& s : r.series) {
@@ -63,8 +87,8 @@ TEST(Sweep, MeasuredTracksPredictedWithoutJitter) {
   const std::vector<sched::Scheduler> comps{
       sched::Scheduler("ECEF-LA", opts)};
   const std::vector<Bytes> sizes{MiB(1), MiB(4)};
-  const SweepResult pred = predicted_sweep(grid, 0, comps, sizes);
-  const SweepResult meas = measured_sweep(grid, 0, comps, sizes, {}, 1);
+  const SweepResult pred = plogp_sweep(grid, comps, sizes);
+  const SweepResult meas = sim_sweep(grid, comps, sizes, {}, 1);
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const double p = pred.series[0].completion[i];
     const double m = meas.series[1].completion[i];  // [0] is DefaultLAM
@@ -81,11 +105,10 @@ TEST(Sweep, ThreadedSweepMatchesInline) {
   const auto grid = topology::grid5000_testbed();
   const auto comps = sched::ecef_family();
   const std::vector<Bytes> sizes{KiB(512), MiB(1), MiB(2)};
-  ThreadPool pool(3);
-  const SweepResult pi = predicted_sweep(grid, 0, comps, sizes);
-  const SweepResult pt = predicted_sweep(grid, 0, comps, sizes, pool);
-  const SweepResult mi = measured_sweep(grid, 0, comps, sizes, {0.05}, 9);
-  const SweepResult mt = measured_sweep(grid, 0, comps, sizes, {0.05}, 9, pool);
+  const SweepResult pi = plogp_sweep(grid, comps, sizes);
+  const SweepResult pt = plogp_sweep(grid, comps, sizes, 3);
+  const SweepResult mi = sim_sweep(grid, comps, sizes, {0.05}, 9);
+  const SweepResult mt = sim_sweep(grid, comps, sizes, {0.05}, 9, 3);
   for (std::size_t s = 0; s < pi.series.size(); ++s)
     EXPECT_EQ(pi.series[s].completion, pt.series[s].completion);
   for (std::size_t s = 0; s < mi.series.size(); ++s)
@@ -106,8 +129,8 @@ TEST(Sweep, MeasuredSeriesInvariantUnderCompetitorSetGrowth) {
       sched::Scheduler("ECEF-LA"), sched::Scheduler("FlatTree"),
       sched::Scheduler("BottomUp")};
 
-  const SweepResult a = measured_sweep(grid, 0, small, sizes, jitter, 7);
-  const SweepResult b = measured_sweep(grid, 0, big, sizes, jitter, 7);
+  const SweepResult a = sim_sweep(grid, small, sizes, jitter, 7);
+  const SweepResult b = sim_sweep(grid, big, sizes, jitter, 7);
 
   ASSERT_EQ(a.series[0].name, "DefaultLAM");
   ASSERT_EQ(b.series[0].name, "DefaultLAM");
@@ -119,7 +142,7 @@ TEST(Sweep, MeasuredSeriesInvariantUnderCompetitorSetGrowth) {
   const std::vector<sched::Scheduler> reordered{
       sched::Scheduler("BottomUp"), sched::Scheduler("ECEF-LA"),
       sched::Scheduler("FlatTree")};
-  const SweepResult c = measured_sweep(grid, 0, reordered, sizes, jitter, 7);
+  const SweepResult c = sim_sweep(grid, reordered, sizes, jitter, 7);
   EXPECT_EQ(c.series[2].completion, b.series[1].completion);  // ECEF-LA
   EXPECT_EQ(c.series[1].completion, b.series[3].completion);  // BottomUp
 }
@@ -140,14 +163,15 @@ TEST(Sweep, ShardedCellsUnionToTheUnshardedResult) {
   const std::vector<Bytes> sizes{KiB(512), MiB(1)};
   ThreadPool pool(0);
   InstanceCache cache(grid);
+  const collective::SimBackend sim(grid, {0.05});
   const SweepResult full =
-      measured_sweep(cache, 0, comps, sizes, {0.05}, 3, pool);
+      backend_sweep(sim, cache, 0, comps, sizes, 3, pool);
 
   const std::size_t n_series = comps.size() + 1;
   std::vector<SweepResult> parts;
   for (std::size_t k = 0; k < 2; ++k)
     parts.push_back(
-        measured_sweep(cache, 0, comps, sizes, {0.05}, 3, pool, {2, k}));
+        backend_sweep(sim, cache, 0, comps, sizes, 3, pool, {2, k}));
 
   for (std::size_t s = 0; s < n_series; ++s) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -162,9 +186,9 @@ TEST(Sweep, ShardedCellsUnionToTheUnshardedResult) {
 TEST(Sweep, EmptyInputsRejected) {
   const auto grid = topology::grid5000_testbed();
   const std::vector<Bytes> sizes{MiB(1)};
-  EXPECT_THROW((void)predicted_sweep(grid, 0, {}, sizes), LogicError);
+  EXPECT_THROW((void)plogp_sweep(grid, {}, sizes), LogicError);
   EXPECT_THROW(
-      (void)predicted_sweep(grid, 0, sched::paper_heuristics(), {}),
+      (void)plogp_sweep(grid, sched::paper_heuristics(), {}),
       LogicError);
 }
 

@@ -8,7 +8,7 @@
 
 #include "exp/instance_cache.hpp"
 #include "exp/param_ranges.hpp"
-#include "exp/race_cli.hpp"
+#include "exp/montecarlo.hpp"
 #include "exp/sweep.hpp"
 #include "io/bench_json.hpp"
 #include "sched/builtin_schedulers.hpp"
