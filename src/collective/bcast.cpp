@@ -97,7 +97,9 @@ BcastResult run_chain_bcast(sim::Network& net,
                [forward, i](Time tt) { (*forward)(i + 1, tt); });
   };
   (*forward)(0, net.engine().now());
-  return collect(net, st);
+  BcastResult r = collect(net, st);
+  *forward = nullptr;  // the handler owns `forward`: break the cycle
+  return r;
 }
 
 BcastResult run_segmented_chain_bcast(sim::Network& net,
@@ -131,7 +133,9 @@ BcastResult run_segmented_chain_bcast(sim::Network& net,
     net.send(ranks[0], ranks[1], sz,
              [forward, sz](Time tt) { (*forward)(1, sz, tt); });
   }
-  return collect(net, st);
+  BcastResult r = collect(net, st);
+  *forward = nullptr;  // the handler owns `forward`: break the cycle
+  return r;
 }
 
 namespace {
@@ -218,7 +222,9 @@ BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,
   };
 
   (*on_receive)(root_cluster, net.engine().now());
-  return collect(net, st);
+  BcastResult r = collect(net, st);
+  *on_receive = nullptr;  // the handler owns `on_receive`: break the cycle
+  return r;
 }
 
 BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,

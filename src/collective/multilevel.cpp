@@ -119,6 +119,8 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   (*on_coordinator)(root_cluster, net.engine().now());
 
   net.engine().run();
+  // The handler owns `on_coordinator`: break the cycle.
+  *on_coordinator = nullptr;
   BcastResult r;
   r.delivered = st->delivered;
   r.completion =

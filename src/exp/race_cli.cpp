@@ -56,16 +56,13 @@ std::string lower(std::string s) {
   return s;
 }
 
-/// A gate tolerance: finite, and >= 0 (`positive == false`, the relative
-/// drift) or > 0 (the wall/throughput factors, which multiply or divide).
-/// NaN fails every comparison and inf passes every one, so both would
-/// silently disable the gate they tune.
-double parse_tolerance(const std::string& token, const char* what,
-                       bool positive) {
+/// A gate tolerance: finite and >= 0.  NaN fails every comparison and inf
+/// passes every one, so both would silently disable the gate they tune.
+double parse_tolerance(const std::string& token, const char* what) {
   const double v = parse_double(token, what);
-  if (!std::isfinite(v) || v < 0 || (positive && v == 0))
-    throw InvalidInput(std::string(what) + " must be a finite number " +
-                       (positive ? "> 0" : ">= 0") + ", got '" + token + "'");
+  if (!std::isfinite(v) || v < 0)
+    throw InvalidInput(std::string(what) + " must be a finite number >= 0, "
+                       "got '" + token + "'");
   return v;
 }
 
@@ -188,10 +185,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       cli.race.iterations = parse_u64(value_of(arg), "--iters");
       if (cli.race.iterations == 0)
         throw InvalidInput("--iters must be >= 1");
-    } else if (arg == "--wall") {
-      cli.spec.wall = true;
-    } else if (arg == "--sched-cost") {
-      cli.spec.sched_cost = true;
     } else if (arg == "--no-prune") {
       cli.spec.prune = false;
     } else if (key == "--check") {
@@ -200,14 +193,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     } else if (key == "--baseline") {
       cli.baseline_path = value_of(arg);
     } else if (key == "--rtol") {
-      cli.tolerances.makespan_rtol =
-          parse_tolerance(value_of(arg), "--rtol", false);
-    } else if (key == "--wall-tol") {
-      cli.tolerances.wall_factor =
-          parse_tolerance(value_of(arg), "--wall-tol", true);
-    } else if (key == "--throughput-tol") {
-      cli.tolerances.throughput_factor =
-          parse_tolerance(value_of(arg), "--throughput-tol", true);
+      cli.tolerances.makespan_rtol = parse_tolerance(value_of(arg), "--rtol");
     } else if (key == "--sched") {
       const std::string v = value_of(arg);
       if (lower(v) == "all") {
@@ -303,7 +289,8 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     } else if (key == "--out") {
       cli.out_path = value_of(arg);
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      throw InvalidInput("unknown option '" + arg + "'\n" + race_cli_usage());
+      throw InvalidInput("unknown option '" + arg +
+                         "' (gridcast_race --help lists the options)");
     } else {
       positionals.push_back(arg);
     }
@@ -331,12 +318,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       throw InvalidInput(
           "--verb applies to sweep mode; the Monte-Carlo race broadcasts "
           "by definition");
-    if (cli.spec.wall)
-      throw InvalidInput("--wall applies to sweep mode only");
-    if (cli.spec.sched_cost)
-      throw InvalidInput(
-          "--sched-cost applies to sweep mode only (selection cost needs a "
-          "fixed ladder of instances to time against)");
     cli.action = RaceCli::Action::kRace;
     cli.race.sched_names = cli.spec.sched_names;
     cli.race.seed = cli.spec.seed;
@@ -354,7 +335,7 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
                            cli.race.iterations, cli.race.block_iters);
     if (!positionals.empty())
       throw InvalidInput("unexpected argument '" + positionals.front() +
-                         "'\n" + race_cli_usage());
+                         "' (gridcast_race --help shows the usage)");
     cli.race.shard.validate();
     return cli;
   }
@@ -386,12 +367,8 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     case RaceCli::Action::kRun:
       if (!positionals.empty())
         throw InvalidInput("unexpected argument '" + positionals.front() +
-                           "'\n" + race_cli_usage());
+                           "' (gridcast_race --help shows the usage)");
       cli.spec.shard.validate();
-      if (cli.spec.wall && cli.spec.shard.shards > 1)
-        throw InvalidInput("--wall cannot be combined with --shards");
-      if (cli.spec.sched_cost && cli.spec.shard.shards > 1)
-        throw InvalidInput("--sched-cost cannot be combined with --shards");
       break;
     case RaceCli::Action::kRace:
       break;  // validated and returned above
@@ -543,8 +520,7 @@ std::string race_cli_usage() {
       "                [--grid=grid5000|<file>] [--root=N]\n"
       "                [--sizes=default|256K,1M,...] [--completion=eager|"
       "after-last-send]\n"
-      "                [--jitter=F] [--seed=N] [--threads=N] [--wall]\n"
-      "                [--sched-cost] [--no-prune]\n"
+      "                [--jitter=F] [--seed=N] [--threads=N] [--no-prune]\n"
       "                [--shards=N --shard=k | --shard=k/N] [--out=FILE]\n"
       "  gridcast_race --race [--sched=a,b,c] [--backend=plogp|sim]\n"
       "                [--clusters=2-10|5-50:5|3,7,9] [--iters=N] "
@@ -555,17 +531,15 @@ std::string race_cli_usage() {
       "[--out=FILE]\n"
       "  gridcast_race --merge out.json shard0.json shard1.json ...\n"
       "  gridcast_race --check=current.json --baseline=baseline.json\n"
-      "                [--rtol=1e-6] [--wall-tol=10] [--throughput-tol=10]\n"
+      "                [--rtol=1e-6]\n"
       "  gridcast_race --list-backends\n"
       "(--race runs the Figs. 1-4 Monte-Carlo races over random Table 2\n"
       " instances; grid-executing backends need --realise.  --mode=\n"
       " predicted|measured remains as an alias of --backend.  --verb races\n"
       " the two-level scatter/alltoall instead of the broadcast: sizes are\n"
       " then per-rank (scatter) / per-rank-pair (alltoall) blocks.\n"
-      " --sched-cost also times each competitor's per-selection cost\n"
-      " (micro_scheduling_cost_s; unsharded sweeps only).  --no-prune\n"
-      " disables lower-bound pruning in the 'auto' selector — a pure\n"
-      " optimisation, so reports are byte-identical either way.)\n";
+      " --no-prune disables lower-bound pruning in the 'auto' selector —\n"
+      " a pure optimisation, so reports are byte-identical either way.)\n";
 }
 
 }  // namespace gridcast::exp

@@ -44,9 +44,9 @@ struct RaceCli {
 };
 
 /// Parse argv (without the program name).  Throws InvalidInput on unknown
-/// flags, malformed values, or inconsistent combinations (e.g. `--wall`
-/// with `--shards`, or sweep-only flags like `--sizes`/`--grid` with
-/// `--race`); the message is ready for stderr.
+/// flags, malformed values, or inconsistent combinations (e.g. sweep-only
+/// flags like `--sizes`/`--grid` with `--race`); the message is one line,
+/// ready for stderr.
 [[nodiscard]] RaceCli parse_race_cli(const std::vector<std::string>& args);
 
 /// Parse a `--clusters` list: comma-separated tokens, each a count ("8"),

@@ -1,7 +1,5 @@
 #include "exp/sweep.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -214,18 +212,8 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
                                const std::string& grid_name,
                                const RaceSpec& spec, ThreadPool& pool,
                                std::vector<std::string>* skipped) {
-  using clock = std::chrono::steady_clock;
-
   if (spec.sched_names.empty())
     throw InvalidInput("no schedulers selected (use --sched=a,b,c or all)");
-  if (spec.wall && spec.shard.shards > 1)
-    throw InvalidInput(
-        "--wall requires an unsharded run (wall time is machine-local and "
-        "would break shard-merge byte-identity)");
-  if (spec.sched_cost && spec.shard.shards > 1)
-    throw InvalidInput(
-        "--sched-cost requires an unsharded run (selection cost is "
-        "machine-local and would break shard-merge byte-identity)");
   spec.shard.validate();
   if (spec.root >= cache.grid().cluster_count())
     throw InvalidInput("--root=" + std::to_string(spec.root) +
@@ -271,68 +259,6 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
     row.name = s.name;
     row.makespan_s = s.completion;
     r.series.push_back(std::move(row));
-  }
-
-  if (spec.wall) {
-    // Scheduling cost only (the paper's Section 7 complexity concern):
-    // instances come pre-derived from the cache, the loop runs
-    // single-threaded, and we keep the *minimum* of several passes — the
-    // standard robust estimator — so the number is comparable run over
-    // run and across CI machines.  Series are matched by name: the
-    // backend's baseline row (which schedules nothing) and any gated-out
-    // competitor have no wall time.
-    constexpr int kWallPasses = 10;
-    for (const Bytes m : sizes) (void)cache.get(spec.root, m);
-    for (const auto& comp : comps) {
-      io::BenchSeries* series = nullptr;
-      for (auto& s : r.series)
-        if (s.name == comp.name()) series = &s;
-      if (series == nullptr) continue;  // gated out
-      double best = std::numeric_limits<double>::infinity();
-      for (int pass = -1; pass < kWallPasses; ++pass) {  // -1 = warmup
-        const auto t0 = clock::now();
-        for (const Bytes m : sizes)
-          (void)comp.makespan(*cache.get(spec.root, m));
-        const double dt =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        if (pass >= 0) best = std::min(best, dt);
-      }
-      series->wall_time_s = best;
-    }
-  }
-
-  if (spec.sched_cost) {
-    // Per-selection cost at every ladder point: how long one `order()`
-    // call takes, min over passes like the wall loop.  This is the budget
-    // that keeps composite selectors ("auto") honest — their selection
-    // walks the whole registry, and the baseline gate bounds that walk
-    // one-sided via `micro_scheduling_cost_s`.  Cells a competitor never
-    // scheduled (it was gated out at that point, or it is the backend's
-    // baseline row) stay NaN and the gate skips them.
-    constexpr int kCostPasses = 10;
-    for (const Bytes m : sizes) (void)cache.get(spec.root, m);
-    for (const auto& comp : comps) {
-      io::BenchSeries* series = nullptr;
-      for (auto& s : r.series)
-        if (s.name == comp.name()) series = &s;
-      if (series == nullptr) continue;  // gated out
-      series->micro_scheduling_cost_s.assign(sizes.size(), kNaN);
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const sched::SchedulerRuntimeInfo info(
-            *cache.get(spec.root, sizes[i]), sizes[i],
-            comp.options().completion);
-        if (!comp.entry().can_schedule(info)) continue;
-        double best = std::numeric_limits<double>::infinity();
-        for (int pass = -1; pass < kCostPasses; ++pass) {  // -1 = warmup
-          const auto t0 = clock::now();
-          (void)comp.order(info);
-          const double dt =
-              std::chrono::duration<double>(clock::now() - t0).count();
-          if (pass >= 0) best = std::min(best, dt);
-        }
-        series->micro_scheduling_cost_s[i] = best;
-      }
-    }
   }
   return r;
 }
@@ -426,15 +352,6 @@ io::BenchReport merge_race_shards(const std::vector<io::BenchReport>& shards) {
                            std::to_string(ref.sizes[i]) + ", series '" +
                            ref.series[s].name + "') was never computed");
       out.series[s].makespan_s[i] = value;
-    }
-  }
-  // Sharded runs never time scheduling (wall and selection cost are
-  // machine-local); only a trivial single-shard merge can carry them
-  // through.
-  if (n > 1) {
-    for (auto& s : out.series) {
-      s.wall_time_s = kNaN;
-      s.micro_scheduling_cost_s.clear();
     }
   }
   return out;

@@ -107,15 +107,6 @@ struct RaceSpec {
   double jitter = 0.05;     ///< sim backend only
   std::uint64_t seed = 1;   ///< non-deterministic backends only
   ShardSpec shard = {};
-  /// Also time each heuristic's scheduling cost (wall_time_s, the paper's
-  /// Section 7 complexity concern).  Unsharded runs only: wall time is
-  /// machine-dependent and would break shard-merge byte-identity.
-  bool wall = false;
-  /// Also time each competitor's *per-selection* cost at every ladder
-  /// point (`micro_scheduling_cost_s`, min over timing passes) — the
-  /// budget that keeps composite selectors ("auto") honest.  Unsharded
-  /// runs only, like `wall`.
-  bool sched_cost = false;
   /// Lower-bound pruning in composite selectors ("auto"); `--no-prune`
   /// clears it.  A pure optimisation: winners and reports are
   /// byte-identical either way (tests and CI pin exactly that).

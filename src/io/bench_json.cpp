@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <variant>
@@ -352,7 +353,7 @@ void put_nested_array(std::ostream& os,
 /// a confusing parse error (or a silently wrong baseline) downstream.
 /// Returns an empty string when the report is well-formed.
 std::string report_grammar_violation(const BenchReport& r) {
-  if (r.bench != "race" && r.bench != "montecarlo" && r.bench != "micro")
+  if (r.bench != "race" && r.bench != "montecarlo")
     return "unknown bench kind '" + r.bench + "'";
   if (r.sizes.empty()) return "empty axis";
   if (r.shards == 0 || r.shard >= r.shards) return "shard index out of range";
@@ -362,32 +363,12 @@ std::string report_grammar_violation(const BenchReport& r) {
   } else if (r.block_iters != 0) {
     return "'block_iters' outside a montecarlo report";
   }
-  if (r.is_micro() && (r.shards != 1 || r.verb != "bcast"))
-    return "micro reports carry no verb or shard axes";
   const bool shard_form = r.shard_form();
   if (shard_form && !r.is_montecarlo())
     return "block data outside a montecarlo report";
   if (shard_form && r.block_iters == 0)
     return "shard-form report needs block_iters >= 1";
   for (const auto& s : r.series) {
-    // Selection-cost cells ride only final-form size sweeps: the other
-    // kinds have no per-ladder-point selection to time.
-    if (!s.micro_scheduling_cost_s.empty()) {
-      if (r.bench != "race")
-        return "'micro_scheduling_cost_s' is a size-sweep-only key";
-      if (s.makespan_s.empty())
-        return "series '" + s.name +
-               "' needs 'makespan_s' cells to carry micro_scheduling_cost_s";
-      if (s.micro_scheduling_cost_s.size() != r.sizes.size())
-        return "series '" + s.name +
-               "' micro_scheduling_cost_s does not cover the axis";
-    }
-    if (r.is_micro()) {
-      if (s.throughput.size() != r.sizes.size())
-        return "series '" + s.name + "' throughput does not cover the axis";
-      continue;
-    }
-    if (!s.throughput.empty()) return "'throughput' outside a micro report";
     if (!r.is_montecarlo() && !s.hits.empty()) return "'hits' is montecarlo-only";
     if (shard_form != !s.block_sum_s.empty())
       return "series '" + s.name + "' mixes shard-form and final-form data";
@@ -455,10 +436,6 @@ void write_bench_json(std::ostream& os, const BenchReport& r) {
   os << "],\n  \"series\": [\n";
   for (std::size_t s = 0; s < r.series.size(); ++s) {
     os << "    {\"name\": \"" << json_escape(r.series[s].name) << "\"";
-    if (!std::isnan(r.series[s].wall_time_s)) {
-      os << ", \"wall_time_s\": ";
-      put_double(os, r.series[s].wall_time_s);
-    }
     if (!r.series[s].block_sum_s.empty()) {
       os << ", \"block_sum_s\": ";
       put_nested_array(os, r.series[s].block_sum_s);
@@ -466,19 +443,12 @@ void write_bench_json(std::ostream& os, const BenchReport& r) {
         os << ", \"block_hits\": ";
         put_nested_array(os, r.series[s].block_hits);
       }
-    } else if (!r.series[s].throughput.empty()) {
-      os << ", \"throughput\": ";
-      put_double_array(os, r.series[s].throughput);
     } else {
       os << ", \"makespan_s\": ";
       put_double_array(os, r.series[s].makespan_s);
       if (!r.series[s].hits.empty()) {
         os << ", \"hits\": ";
         put_double_array(os, r.series[s].hits);
-      }
-      if (!r.series[s].micro_scheduling_cost_s.empty()) {
-        os << ", \"micro_scheduling_cost_s\": ";
-        put_double_array(os, r.series[s].micro_scheduling_cost_s);
       }
     }
     os << "}" << (s + 1 < r.series.size() ? "," : "") << "\n";
@@ -518,6 +488,9 @@ BenchReport bench_from_json(const std::string& text) {
   for (const auto& [key, value] : o) {
     if (key == "bench") {
       r.bench = as<std::string>(value, "bench");
+      if (r.bench != "race" && r.bench != "montecarlo")
+        throw InvalidInput("bench JSON: unknown report kind '" + r.bench +
+                           "' (want 'race' or 'montecarlo')");
     } else if (key == "grid") {
       r.grid = as<std::string>(value, "grid");
     } else if (key == "mode") {
@@ -556,18 +529,21 @@ BenchReport bench_from_json(const std::string& text) {
         const JsonObject& so = as<JsonObject>(sv, "series[]");
         BenchSeries s;
         s.name = as<std::string>(require(so, "name"), "series name");
-        if (const JsonValue* w = find(so, "wall_time_s"))
-          s.wall_time_s = as_number(*w, "wall_time_s");
+        for (const auto& field : so) {
+          const std::string_view k = field.first;
+          if (k != "name" && k != "makespan_s" && k != "hits" &&
+              k != "block_sum_s" && k != "block_hits")
+            throw InvalidInput("bench JSON: series '" + s.name +
+                               "' has unknown key '" + field.first + "'");
+        }
         const JsonValue* mk = find(so, "makespan_s");
         const JsonValue* bs = find(so, "block_sum_s");
-        const JsonValue* tp = find(so, "throughput");
-        if ((mk != nullptr) + (bs != nullptr) + (tp != nullptr) != 1)
+        if ((mk != nullptr) == (bs != nullptr))
           throw InvalidInput("bench JSON: series '" + s.name +
-                             "' needs exactly one of 'makespan_s', "
-                             "'block_sum_s' and 'throughput'");
+                             "' needs exactly one of 'makespan_s' and "
+                             "'block_sum_s'");
         if (mk != nullptr) s.makespan_s = number_array(*mk, "makespan_s");
         if (bs != nullptr) s.block_sum_s = nested_number_array(*bs, "block_sum_s");
-        if (tp != nullptr) s.throughput = number_array(*tp, "throughput");
         if (const JsonValue* h = find(so, "hits")) {
           if (mk == nullptr)
             throw InvalidInput("bench JSON: series '" + s.name +
@@ -579,14 +555,6 @@ BenchReport bench_from_json(const std::string& text) {
             throw InvalidInput("bench JSON: series '" + s.name +
                                "' has 'block_hits' without 'block_sum_s'");
           s.block_hits = nested_number_array(*bh, "block_hits");
-        }
-        if (const JsonValue* sc = find(so, "micro_scheduling_cost_s")) {
-          if (mk == nullptr)
-            throw InvalidInput("bench JSON: series '" + s.name +
-                               "' needs 'makespan_s' cells to carry "
-                               "micro_scheduling_cost_s");
-          s.micro_scheduling_cost_s =
-              number_array(*sc, "micro_scheduling_cost_s");
         }
         r.series.push_back(std::move(s));
       }
@@ -620,14 +588,6 @@ BenchReport bench_from_json(const std::string& text) {
       throw InvalidInput(
           "bench JSON: 'iterations'/'block_iters' are montecarlo-only keys");
   }
-  if (r.is_micro()) {
-    // The throughput lane has no collective verb and no shard partition:
-    // each series is one whole-machine measurement.
-    if (find(o, "verb") != nullptr)
-      throw InvalidInput("bench JSON: micro reports have no verb axis");
-    if (find(o, "shards") != nullptr || find(o, "shard") != nullptr)
-      throw InvalidInput("bench JSON: micro reports cannot be sharded");
-  }
 
   const bool shard_form = r.shard_form();
   if (shard_form) {
@@ -647,25 +607,10 @@ BenchReport bench_from_json(const std::string& text) {
   for (const auto& s : r.series) {
     if (!r.is_montecarlo() && !s.hits.empty())
       throw InvalidInput("bench JSON: 'hits' is montecarlo-only");
-    if (!s.micro_scheduling_cost_s.empty()) {
-      if (r.bench != "race")
-        throw InvalidInput(
-            "bench JSON: 'micro_scheduling_cost_s' is a size-sweep-only key");
-      if (s.micro_scheduling_cost_s.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: series '" + s.name +
-                           "' micro_scheduling_cost_s does not cover the "
-                           "axis");
-    }
     if (shard_form != !s.block_sum_s.empty())
       throw InvalidInput("bench JSON: series '" + s.name +
                          "' mixes shard-form and final-form data");
-    if (r.is_micro()) {
-      if (s.throughput.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: micro series '" + s.name +
-                           "' needs 'throughput' covering the axis");
-    } else if (!s.throughput.empty()) {
-      throw InvalidInput("bench JSON: 'throughput' is micro-only");
-    } else if (!shard_form) {
+    if (!shard_form) {
       if (s.makespan_s.size() != r.sizes.size())
         throw InvalidInput("bench JSON: series '" + s.name + "' has " +
                            std::to_string(s.makespan_s.size()) +
@@ -803,56 +748,6 @@ std::vector<std::string> compare_bench(const BenchReport& baseline,
                 " vs current " +
                 std::to_string(static_cast<std::uint64_t>(cur->hits[i])));
       }
-    }
-    // Micro reports gate on throughput: a higher-is-better axis, so the
-    // regression test is a *lower bound* (current >= baseline / factor).
-    // Written so NaN on the current side fails.
-    if (!base.throughput.empty() &&
-        cur->throughput.size() != base.throughput.size()) {
-      add("series '" + base.name + "' is missing throughput");
-      continue;
-    }
-    for (std::size_t i = 0; i < base.throughput.size(); ++i) {
-      const double b = base.throughput[i];
-      const double c = cur->throughput[i];
-      if (std::isnan(b)) continue;  // baseline never measured this cell
-      const double floor = b / opts.throughput_factor;
-      if (!(c >= floor))
-        add("series '" + base.name + "' throughput regression at " + axis +
-            " " + std::to_string(baseline.sizes[i]) + ": baseline " +
-            std::to_string(b) + " items/s, current " + std::to_string(c) +
-            " items/s (floor " + std::to_string(floor) + " items/s)");
-    }
-    // Selection cost is host-dependent like wall_time_s, so the gate is
-    // the same one-sided budget: current <= baseline * wall_factor.
-    // Written so NaN on the current side fails.
-    if (!base.micro_scheduling_cost_s.empty() &&
-        cur->micro_scheduling_cost_s.size() !=
-            base.micro_scheduling_cost_s.size()) {
-      add("series '" + base.name + "' is missing micro_scheduling_cost_s");
-      continue;
-    }
-    for (std::size_t i = 0; i < base.micro_scheduling_cost_s.size(); ++i) {
-      const double b = base.micro_scheduling_cost_s[i];
-      const double c = cur->micro_scheduling_cost_s[i];
-      if (std::isnan(b)) continue;  // baseline never measured this cell
-      const double limit = b * opts.wall_factor;
-      if (!(c <= limit))
-        add("series '" + base.name +
-            "' micro_scheduling_cost_s regression at " + axis + " " +
-            std::to_string(baseline.sizes[i]) + ": baseline " +
-            std::to_string(b) + "s, current " + std::to_string(c) +
-            "s (limit " + std::to_string(limit) + "s)");
-    }
-    if (!std::isnan(base.wall_time_s)) {
-      const double limit = base.wall_time_s * opts.wall_factor;
-      if (std::isnan(cur->wall_time_s))
-        add("series '" + base.name + "' is missing wall_time_s");
-      else if (!(cur->wall_time_s <= limit))
-        add("series '" + base.name + "' wall_time_s regression: baseline " +
-            std::to_string(base.wall_time_s) + "s, current " +
-            std::to_string(cur->wall_time_s) + "s (limit " +
-            std::to_string(limit) + "s)");
     }
   }
   return problems;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,8 +10,8 @@
 /// Machine-readable benchmark reports (BENCH_sweep.json and friends).
 ///
 /// One grammar serves every producer and consumer: the `gridcast_race`
-/// CLI, `bench_sweep_json`, shard merging, and the CI regression gate all
-/// traffic in a `BenchReport`.  Writing is deterministic — 17 significant
+/// CLI, shard merging, and the CI regression gate all traffic in a
+/// `BenchReport`.  Writing is deterministic — 17 significant
 /// digits, fixed key order — so a merged set of shard reports is
 /// byte-identical to the equivalent single-process run, and a re-serialised
 /// parse is byte-identical to its source.  Scheduler names pass through
@@ -20,10 +19,8 @@
 /// cannot corrupt the output.
 namespace gridcast::io {
 
-/// One strategy's row: makespan per sweep size plus (optionally) the
-/// wall-clock cost of computing its schedules.  NaN marks "absent": a
-/// sharded run leaves foreign cells NaN (written as `null`), and
-/// `wall_time_s` is NaN unless the producer timed scheduling.
+/// One strategy's row: makespan per sweep size.  NaN marks "absent": a
+/// sharded run leaves foreign cells NaN (written as `null`).
 ///
 /// Monte-Carlo race reports (`bench == "montecarlo"`) carry two more
 /// shapes of data.  Final reports put the per-point *mean* completion in
@@ -36,22 +33,10 @@ namespace gridcast::io {
 /// and `block_sum_s` is present per series.
 struct BenchSeries {
   std::string name;
-  double wall_time_s = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> makespan_s;
   std::vector<double> hits;        ///< per point; empty = not tracked
   std::vector<std::vector<double>> block_sum_s;  ///< [point][block]
   std::vector<std::vector<double>> block_hits;   ///< [point][block]
-  /// Micro-throughput reports (`bench == "micro"`) only: items per second
-  /// at each axis point (events/sec, sends/sec, ...).  Replaces
-  /// `makespan_s` for that kind; empty everywhere else.
-  std::vector<double> throughput;
-  /// Size sweeps (`bench == "race"`, final form) only, opt-in: seconds to
-  /// *select* one schedule at each ladder point (min over timing passes),
-  /// so composite selectors ("auto") carry their per-selection overhead
-  /// next to the makespans they won.  Host-dependent like `wall_time_s`,
-  /// and gated the same way: one-sided, current <= baseline * wall_factor,
-  /// NaN baseline cells skipped.
-  std::vector<double> micro_scheduling_cost_s;
 };
 
 /// A full report: the sweep axis, per-series results, and enough metadata
@@ -65,16 +50,10 @@ struct BenchSeries {
 /// serialised under the key "clusters", and additionally record the
 /// Monte-Carlo depth per point (`iterations`, always) and the block size
 /// of the deterministic shard partition (`block_iters`, shard-form reports
-/// only — merged reports drop it).
-/// A third kind, `bench == "micro"`, carries the simulator throughput
-/// lane: the axis is the per-run workload scale (scheduled events), every
-/// series reports `throughput` (items/sec) instead of `makespan_s`, and
-/// the CI gate is a *lower bound* (current >= baseline / throughput_factor)
-/// because wall-clock throughput is machine-dependent where makespans are
-/// exact.  Micro reports refuse the sweep-only axes that cannot apply to
-/// them: verb, sharding, and Monte-Carlo iteration keys.
+/// only — merged reports drop it).  Every value is deterministic: no
+/// report carries a host-clock reading.
 struct BenchReport {
-  /// "race" (size sweep) | "montecarlo" | "micro"
+  /// "race" (size sweep) | "montecarlo"
   std::string bench = "race";
   std::string grid;
   std::string mode = "predicted";  ///< "predicted" | "measured"
@@ -100,8 +79,6 @@ struct BenchReport {
   [[nodiscard]] bool is_montecarlo() const noexcept {
     return bench == "montecarlo";
   }
-  /// Micro-throughput report (workload axis, throughput series)?
-  [[nodiscard]] bool is_micro() const noexcept { return bench == "micro"; }
   /// Carries per-block shard partials instead of final per-point values?
   [[nodiscard]] bool shard_form() const noexcept;
   /// Number of iteration blocks per point: ceil(iterations / block_iters).
@@ -119,7 +96,8 @@ void write_bench_json(std::ostream& os, const BenchReport& r);
 [[nodiscard]] std::string bench_to_json(const BenchReport& r);
 
 /// Parse a report written by `write_bench_json` (strict: malformed JSON,
-/// unknown keys, or type mismatches throw InvalidInput).
+/// an unknown report kind, unknown top-level or series keys, or type
+/// mismatches throw InvalidInput).
 [[nodiscard]] BenchReport read_bench_json(std::istream& is);
 [[nodiscard]] BenchReport bench_from_json(const std::string& text);
 
@@ -128,23 +106,13 @@ struct BenchCompareOptions {
   /// Relative tolerance on per-cell makespan drift (the model is
   /// deterministic; this only absorbs cross-platform float noise).
   double makespan_rtol = 1e-6;
-  /// A series regresses when wall_time_s exceeds baseline * wall_factor
-  /// (generous: CI machines are slower and noisier than the one that
-  /// recorded the baseline).
-  double wall_factor = 10.0;
-  /// Micro reports: a series regresses when its throughput falls below
-  /// baseline / throughput_factor (same generosity, opposite direction —
-  /// throughput is a higher-is-better axis).
-  double throughput_factor = 10.0;
 };
 
 /// Compare `current` against `baseline`; returns one human-readable
 /// problem per violation (empty = gate passes).  Violations: metadata or
 /// axis mismatch, shard-form (unmerged) inputs, missing/extra series,
 /// uncomputed (NaN) cells, makespan drift past `makespan_rtol`, hit-count
-/// drift (exact: hits are deterministic integers), wall-time regression
-/// past `wall_factor`, throughput shortfall below baseline /
-/// `throughput_factor` (micro reports).
+/// drift (exact: hits are deterministic integers).
 [[nodiscard]] std::vector<std::string> compare_bench(
     const BenchReport& baseline, const BenchReport& current,
     const BenchCompareOptions& opts = {});

@@ -30,7 +30,6 @@ TEST(RaceCliParse, DefaultsToFullRegistryRunOnGrid5000) {
   EXPECT_TRUE(cli.spec.sizes.empty());        // empty = default ladder
   EXPECT_EQ(cli.grid_arg, "grid5000");
   EXPECT_EQ(cli.spec.shard.shards, 1u);
-  EXPECT_FALSE(cli.spec.wall);
 }
 
 TEST(RaceCliParse, SchedListSizesAndMode) {
@@ -102,9 +101,6 @@ TEST(RaceCliParse, RejectsBadInput) {
   EXPECT_THROW((void)parse_race_cli({"--sizes=,1M"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--seed=ten"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--sched=a,,b"}), InvalidInput);
-  // Wall time is machine-local; sharded outputs must stay byte-mergeable.
-  EXPECT_THROW((void)parse_race_cli({"--wall", "--shards=2", "--shard=0"}),
-               InvalidInput);
   // A keyed flag without '=' must not silently use itself as its value.
   EXPECT_THROW((void)parse_race_cli({"--out"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--check"}), InvalidInput);
@@ -124,13 +120,11 @@ TEST(RaceCliParse, MergeTakesOutputThenInputs) {
 
 TEST(RaceCliParse, CheckNeedsBaseline) {
   const RaceCli cli = parse_race_cli(
-      {"--check=cur.json", "--baseline=base.json", "--rtol=1e-3",
-       "--wall-tol=5"});
+      {"--check=cur.json", "--baseline=base.json", "--rtol=1e-3"});
   EXPECT_EQ(cli.action, RaceCli::Action::kCheck);
   EXPECT_EQ(cli.check_path, "cur.json");
   EXPECT_EQ(cli.baseline_path, "base.json");
   EXPECT_DOUBLE_EQ(cli.tolerances.makespan_rtol, 1e-3);
-  EXPECT_DOUBLE_EQ(cli.tolerances.wall_factor, 5.0);
   EXPECT_THROW((void)parse_race_cli({"--check=cur.json"}), InvalidInput);
 }
 
@@ -240,26 +234,6 @@ TEST(RaceShard, MergeRejectsBadShardSets) {
 
 // -------------------------------------------------------- engine details
 
-TEST(RaceSweep, WallTimesOnlyWhereRequestedAndMeaningful) {
-  const auto grid = topology::grid5000_testbed();
-  ThreadPool pool(0);
-  RaceSpec spec = two_sched_spec();
-  spec.wall = true;
-  spec.backend = "sim";
-  InstanceCache cache(grid);
-  const io::BenchReport r =
-      run_race_sweep(cache, "grid5000_testbed", spec, pool);
-  ASSERT_EQ(r.series.size(), 3u);
-  EXPECT_TRUE(std::isnan(r.series[0].wall_time_s));  // DefaultLAM
-  EXPECT_GE(r.series[1].wall_time_s, 0.0);
-  EXPECT_GE(r.series[2].wall_time_s, 0.0);
-
-  spec.shard = {2, 0};
-  InstanceCache cache2(grid);
-  EXPECT_THROW((void)run_race_sweep(cache2, "grid5000_testbed", spec, pool),
-               InvalidInput);
-}
-
 TEST(RaceSweep, GatedEntriesAreSkippedNotRaced) {
   // grid5000 is a genuine WAN: the LAN-only and star-shaped specialists
   // must refuse via can_schedule and be dropped from the report — with no
@@ -354,7 +328,6 @@ TEST(RaceGridParse, LadderHelpersMatchThePaper) {
 TEST(RaceGridParse, RejectsSweepOnlyAndMalformedFlags) {
   EXPECT_THROW((void)parse_race_cli({"--race", "--sizes=1M"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--race", "--grid=g.txt"}), InvalidInput);
-  EXPECT_THROW((void)parse_race_cli({"--race", "--wall"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--race", "--merge", "a", "b"}),
                InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--clusters=3"}), InvalidInput);
@@ -679,12 +652,16 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
       {check, gate, "--rtol=inf"},
       {check, gate, "--rtol=nan"},
       {check, gate, "--rtol=-1e-6"},
+      // The retired host-clock flags are unknown options, whatever their
+      // value.
       {check, gate, "--wall-tol=inf"},
       {check, gate, "--wall-tol=nan"},
       {check, gate, "--wall-tol=0"},
       {check, gate, "--throughput-tol=inf"},
       {check, gate, "--throughput-tol=nan"},
       {check, gate, "--throughput-tol=-10"},
+      {"--wall", sweep, one},
+      {"--sched-cost", sweep, one},
       // Already refused before; kept in the table as regression rows.
       {"--threads=-1"},
       {"--seed=abc"},
@@ -706,6 +683,11 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
     return std::string();
   };
   for (const auto& args : rows) (void)refusal(args);
+  for (const std::string flag : {"--wall", "--sched-cost", "--wall-tol=25",
+                                 "--throughput-tol=10"})
+    EXPECT_NE(refusal({flag}).find("unknown option '" + flag + "'"),
+              std::string::npos)
+        << flag;
 
   // The sim range is named in the diagnostic.
   EXPECT_NE(refusal({"--backend=sim", "--jitter=0.5", sweep, one})

@@ -12,11 +12,9 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-BenchSeries make_series(std::string name, double wall,
-                        std::vector<double> makespans) {
+BenchSeries make_series(std::string name, std::vector<double> makespans) {
   BenchSeries s;
   s.name = std::move(name);
-  s.wall_time_s = wall;
   s.makespan_s = std::move(makespans);
   return s;
 }
@@ -28,8 +26,8 @@ BenchReport small_report() {
   r.mode = "predicted";
   r.root = 0;
   r.sizes = {262144, 524288};
-  r.series.push_back(make_series("FlatTree", 0.125, {0.875, 1.75}));
-  r.series.push_back(make_series("ECEF-LAT", kNaN, {0.25, 0.5}));
+  r.series.push_back(make_series("FlatTree", {0.875, 1.75}));
+  r.series.push_back(make_series("ECEF-LAT", {0.25, 0.5}));
   return r;
 }
 
@@ -76,8 +74,6 @@ TEST(BenchJson, RoundTripPreservesValuesAndNaN) {
   EXPECT_EQ(back.shards, 4u);
   EXPECT_EQ(back.shard, 2u);
   ASSERT_EQ(back.series.size(), 2u);
-  EXPECT_DOUBLE_EQ(back.series[0].wall_time_s, 0.125);
-  EXPECT_TRUE(std::isnan(back.series[1].wall_time_s));
   EXPECT_DOUBLE_EQ(back.series[0].makespan_s[0], 0.875);
   EXPECT_TRUE(std::isnan(back.series[0].makespan_s[1]));
 }
@@ -161,7 +157,7 @@ TEST(BenchCompare, MissingSeriesFails) {
 TEST(BenchCompare, ExtraSeriesFails) {
   const BenchReport base = small_report();
   BenchReport cur = base;
-  cur.series.push_back(make_series("Newcomer", kNaN, {1.0, 2.0}));
+  cur.series.push_back(make_series("Newcomer", {1.0, 2.0}));
   const auto problems = compare_bench(base, cur);
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find("extra series 'Newcomer'"), std::string::npos);
@@ -197,22 +193,6 @@ TEST(BenchCompare, NanBaselineCellIsSkipped) {
   EXPECT_TRUE(compare_bench(base, cur).empty());
 }
 
-TEST(BenchCompare, WallTimeRegressionFails) {
-  const BenchReport base = small_report();  // FlatTree wall 0.125
-  BenchReport cur = base;
-  BenchCompareOptions opts;
-  opts.wall_factor = 10.0;
-  cur.series[0].wall_time_s = 1.25;  // exactly the limit: passes
-  EXPECT_TRUE(compare_bench(base, cur, opts).empty());
-  cur.series[0].wall_time_s = 1.26;
-  const auto problems = compare_bench(base, cur, opts);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("wall_time_s regression"), std::string::npos);
-  // Wall time present in the baseline but absent in the run also fails.
-  cur.series[0].wall_time_s = kNaN;
-  EXPECT_EQ(compare_bench(base, cur, opts).size(), 1u);
-}
-
 TEST(BenchCompare, MetadataMismatchFails) {
   const BenchReport base = small_report();
   BenchReport cur = base;
@@ -240,127 +220,39 @@ TEST(BenchCompare, MetadataMismatchFails) {
   EXPECT_NE(problems[0].find("size ladder mismatch"), std::string::npos);
 }
 
-// ---- The "micro" kind: simulator throughput lane (events/sec, sends/sec)
-// with a lower-bound gate instead of the exact-drift rules above.
-
-BenchReport micro_report() {
-  BenchReport r;
-  r.bench = "micro";
-  r.grid = "grid5000_testbed";
-  r.mode = "measured";
-  r.seed = 1;
-  r.jitter = 0.0;
-  r.sizes = {1000, 100000};
-  BenchSeries engine;
-  engine.name = "engine_events";
-  engine.throughput = {4.2e7, 3.9e7};
-  BenchSeries sends;
-  sends.name = "network_sends";
-  sends.throughput = {9.5e7, 1.05e8};
-  r.series = {engine, sends};
-  return r;
-}
-
-TEST(BenchJsonMicro, RoundTripIsByteIdentical) {
-  const BenchReport r = micro_report();
-  const std::string once = bench_to_json(r);
-  const std::string twice = bench_to_json(bench_from_json(once));
-  EXPECT_EQ(once, twice);
-  const BenchReport back = bench_from_json(once);
-  EXPECT_TRUE(back.is_micro());
-  ASSERT_EQ(back.series.size(), 2u);
-  EXPECT_EQ(back.series[0].throughput, r.series[0].throughput);
-}
-
-TEST(BenchJsonMicro, ThroughputMustCoverTheAxis) {
-  // The writer's grammar contract refuses to serialise this shape on
-  // DCHECK lanes, so tamper with valid bytes instead: drop the last cell
-  // of the first series' throughput array and probe the parser wall.
-  std::string json = bench_to_json(micro_report());
-  const std::size_t open = json.find("\"throughput\": [");
-  ASSERT_NE(open, std::string::npos);
-  const std::size_t close = json.find(']', open);
-  const std::size_t comma = json.rfind(',', close);
-  ASSERT_NE(comma, std::string::npos);
-  ASSERT_GT(comma, open);  // the comma between the two throughput cells
-  json.erase(comma, close - comma);
-  EXPECT_THROW((void)bench_from_json(json), InvalidInput);
-}
-
-TEST(BenchJsonMicro, ThroughputIsMicroOnly) {
-  // A race report smuggling a throughput array is rejected.
-  EXPECT_THROW(
-      (void)bench_from_json(
-          "{\"sizes\": [1], \"series\": [{\"name\": \"A\", "
-          "\"makespan_s\": [0.5], \"throughput\": [1.0]}]}"),
-      InvalidInput);
-}
-
-TEST(BenchJsonMicro, RefusesVerbAndShardAxes) {
-  // Micro reports measure the simulator, not a collective: the sweep-only
-  // axes cannot apply and the parser refuses them outright.
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"micro\", \"verb\": \"scatter\", "
-                   "\"sizes\": [1], \"series\": [{\"name\": \"A\", "
-                   "\"throughput\": [1.0]}]}"),
-               InvalidInput);
-  EXPECT_THROW((void)bench_from_json(
-                   "{\"bench\": \"micro\", \"shards\": 2, \"shard\": 0, "
-                   "\"sizes\": [1], \"series\": [{\"name\": \"A\", "
-                   "\"throughput\": [1.0]}]}"),
-               InvalidInput);
-}
-
-TEST(BenchCompareMicro, IdenticalReportsPass) {
-  const BenchReport r = micro_report();
-  EXPECT_TRUE(compare_bench(r, r).empty());
-}
-
-TEST(BenchCompareMicro, LowerBoundGateIsOneSided) {
-  const BenchReport base = micro_report();
-  BenchReport cur = micro_report();
-  BenchCompareOptions opts;
-  opts.throughput_factor = 10.0;
-
-  // Faster than the baseline: always fine (higher is better).
-  cur.series[0].throughput[0] = base.series[0].throughput[0] * 100.0;
-  EXPECT_TRUE(compare_bench(base, cur, opts).empty());
-
-  // Slower but above the floor: fine (CI machines are noisy).
-  cur = micro_report();
-  cur.series[0].throughput[0] = base.series[0].throughput[0] / 9.0;
-  EXPECT_TRUE(compare_bench(base, cur, opts).empty());
-
-  // Below baseline / factor: regression.
-  cur = micro_report();
-  cur.series[0].throughput[0] = base.series[0].throughput[0] / 11.0;
-  const auto problems = compare_bench(base, cur, opts);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("throughput regression"), std::string::npos);
-}
-
-TEST(BenchCompareMicro, NanCurrentThroughputFails) {
-  const BenchReport base = micro_report();
-  BenchReport cur = micro_report();
-  cur.series[1].throughput[0] = kNaN;
-  EXPECT_EQ(compare_bench(base, cur).size(), 1u);
-}
-
-TEST(BenchCompareMicro, MissingThroughputFails) {
-  const BenchReport base = micro_report();
-  BenchReport cur = micro_report();
-  cur.series[1].throughput.clear();
-  const auto problems = compare_bench(base, cur);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("missing throughput"), std::string::npos);
-}
-
-TEST(BenchCompareMicro, KindMismatchShortCircuits) {
-  const BenchReport base = micro_report();
-  const BenchReport cur = small_report();
+TEST(BenchCompare, KindMismatchShortCircuits) {
+  const BenchReport base = small_report();
+  BenchReport cur = small_report();
+  cur.bench = "montecarlo";
+  cur.iterations = 10;
   const auto problems = compare_bench(base, cur);
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find("bench kind mismatch"), std::string::npos);
+}
+
+// Host-clock channels are not part of the grammar: the retired "micro"
+// throughput kind and a series' wall time are refused, never half-read.
+TEST(BenchJson, MicroReportKindIsRefused) {
+  EXPECT_THROW((void)bench_from_json(
+                   "{\"bench\": \"micro\", \"sizes\": [1000], \"series\": "
+                   "[{\"name\": \"engine_events\", \"throughput\": [1.0]}]}"),
+               InvalidInput);
+  EXPECT_THROW((void)bench_from_json(
+                   "{\"bench\": \"micro\", \"sizes\": [1000], \"series\": "
+                   "[{\"name\": \"A\", \"makespan_s\": [0.5]}]}"),
+               InvalidInput);
+}
+
+TEST(BenchJson, WallTimeSeriesKeyIsRefused) {
+  EXPECT_THROW((void)bench_from_json(
+                   "{\"sizes\": [1], \"series\": [{\"name\": \"A\", "
+                   "\"wall_time_s\": 0.125, \"makespan_s\": [0.5]}]}"),
+               InvalidInput);
+  EXPECT_THROW((void)bench_from_json(
+                   "{\"sizes\": [1], \"series\": [{\"name\": \"A\", "
+                   "\"makespan_s\": [0.5], "
+                   "\"micro_scheduling_cost_s\": [1e-6]}]}"),
+               InvalidInput);
 }
 
 TEST(BenchJson, RequestsAxisIsNotAKey) {

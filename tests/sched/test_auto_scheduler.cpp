@@ -304,5 +304,49 @@ TEST(AutoScheduler, LocalRegistryGetsLocalCandidates) {
             AutoScheduler(registry()).candidate_names().size() + 1);
 }
 
+// --------------------------------------------------- work counters
+
+// Exact candidate accounting of `auto`'s registry walk, summed over the
+// configurations the checked-in baselines race: the BENCH_baseline.json
+// sweep (grid5000, root 0, default ladder, default options) and the
+// BENCH_baseline_race.json draws (2-10 clusters, 1000 draws each, seed
+// 42, the race's instance streams).  A walk that scores, prunes or gates
+// a different number of candidates fails here on every machine.
+TEST(AutoScheduler, WalkCountersArePinnedOnTheBaselineConfigurations) {
+  const AutoScheduler autos(registry());
+  struct Totals {
+    std::size_t evaluated = 0;
+    std::size_t pruned = 0;
+    std::size_t gated = 0;
+    void add(const AutoScheduler::Proposal& p) {
+      evaluated += p.evaluated;
+      pruned += p.pruned;
+      gated += p.gated;
+    }
+  };
+
+  Totals sweep;
+  const topology::Grid grid = topology::grid5000_testbed();
+  exp::InstanceCache cache(grid);
+  for (const Bytes m : exp::default_size_ladder())
+    sweep.add(autos.propose(SchedulerRuntimeInfo(*cache.get(0, m), m)));
+  EXPECT_EQ(sweep.evaluated, 144u);
+  EXPECT_EQ(sweep.pruned, 0u);
+  EXPECT_EQ(sweep.gated, 32u);
+
+  Totals race;
+  Instance drawn;
+  for (const std::size_t n : exp::fig1_cluster_ladder()) {
+    for (std::uint64_t it = 0; it < 1000; ++it) {
+      Rng rng = Rng::stream(exp::race_instance_seed(42, n), it);
+      exp::sample_instance_into(exp::ParamRanges::paper(), n, rng, 0, drawn);
+      race.add(autos.propose(SchedulerRuntimeInfo(drawn)));
+    }
+  }
+  EXPECT_EQ(race.evaluated, 67620u);
+  EXPECT_EQ(race.pruned, 21089u);
+  EXPECT_EQ(race.gated, 10291u);
+}
+
 }  // namespace
 }  // namespace gridcast::sched

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "collective/alltoall.hpp"
+#include "collective/scatter.hpp"
 #include "support/error.hpp"
+#include "topology/grid5000.hpp"
 
 namespace gridcast::sim {
 namespace {
@@ -212,6 +215,65 @@ TEST(Network, MemoCollisionsOverwriteWithoutCorruption) {
     const SendTiming b = direct.send(from, to, m);
     ASSERT_EQ(a.delivered, b.delivered) << "send " << i << " size " << m;
   }
+}
+
+// Exact work counts of the simulator on the Grid'5000 testbed (seed 1, no
+// jitter): messages issued and events processed for round-robin 4 KiB
+// sends, the hierarchical scatter and the naive all-to-all, at workload
+// scale 1000 and 100000.  Any change to how many sends or events the
+// simulator does for these workloads shows here on every machine; the
+// wall-clock rate is perfbench's `sim.messages_per_s`.
+TEST(Network, WorkCountersArePinnedOnTheTestbed) {
+  const topology::Grid grid = topology::grid5000_testbed();
+  struct Counts {
+    std::uint64_t messages;
+    std::uint64_t processed;
+  };
+  const auto counts = [](Network& net) {
+    return Counts{net.messages(), net.engine().processed()};
+  };
+  const auto round_robin = [&](std::size_t scale) {
+    Network net(grid, {}, 1);
+    const std::uint32_t ranks = net.ranks();
+    for (std::size_t i = 0; i < scale; ++i) {
+      const auto from = static_cast<NodeId>(i % ranks);
+      const auto to = static_cast<NodeId>((i + 1 + i / ranks) % ranks);
+      if (from == to) continue;
+      (void)net.send(from, to, KiB(4));
+    }
+    net.engine().run();
+    return counts(net);
+  };
+  const auto scatter = [&](Bytes block) {
+    Network net(grid, {}, 1);
+    (void)collective::run_hierarchical_scatter(net, 0, block);
+    return counts(net);
+  };
+  const auto alltoall = [&](Bytes block) {
+    Network net(grid, {}, 1);
+    (void)collective::run_naive_alltoall(net, block);
+    return counts(net);
+  };
+
+  // Handler-less sends are timed at issue and schedule no event.
+  const Counts rr_small = round_robin(1000);
+  EXPECT_EQ(rr_small.messages, 1000u);
+  EXPECT_EQ(rr_small.processed, 0u);
+  const Counts rr_large = round_robin(100000);
+  EXPECT_EQ(rr_large.messages, 98944u);
+  EXPECT_EQ(rr_large.processed, 0u);
+  const Counts sc_small = scatter(1000);
+  EXPECT_EQ(sc_small.messages, 87u);
+  EXPECT_EQ(sc_small.processed, 87u);
+  const Counts sc_large = scatter(100000);
+  EXPECT_EQ(sc_large.messages, 87u);
+  EXPECT_EQ(sc_large.processed, 87u);
+  const Counts a2a_small = alltoall(1000);
+  EXPECT_EQ(a2a_small.messages, 7656u);
+  EXPECT_EQ(a2a_small.processed, 7656u);
+  const Counts a2a_large = alltoall(100000);
+  EXPECT_EQ(a2a_large.messages, 7656u);
+  EXPECT_EQ(a2a_large.processed, 7656u);
 }
 
 }  // namespace

@@ -69,6 +69,7 @@ constexpr FailCase kFailCases[] = {
     {"fail_rng_device", "src/sched/seeded.cpp", 4, "rng-source"},
     {"fail_rng_unseeded", "src/exp/sampler.cpp", 4, "rng-source"},
     {"fail_wall_clock", "src/sim/timing.cpp", 4, "wall-clock"},
+    {"fail_wall_clock", "src/sim/timing.cpp", 7, "wall-clock"},
     {"fail_sim_callback", "src/sim/dispatch.hpp", 5, "sim-callback"},
     {"fail_sim_alloc", "src/sim/events.cpp", 4, "sim-alloc"},
     {"fail_iostream", "src/io/report.cpp", 1, "iostream-library"},

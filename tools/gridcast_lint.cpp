@@ -62,10 +62,9 @@ constexpr RuleInfo kRules[] = {
      "randomness flows through support/rng so streams are seeded and "
      "replayable"},
     {"wall-clock", "src/sim, src/exp",
-     "system_clock / high_resolution_clock in simulation or experiment "
-     "code — simulated time and report content must not depend on the "
-     "host clock (steady_clock wall-timing of *reported wall costs* is "
-     "fine)"},
+     "system_clock / steady_clock / high_resolution_clock in simulation "
+     "or experiment code — simulated time and report content must not "
+     "depend on the host clock"},
     {"sim-callback", "src/sim",
      "std::function in the simulator — event callbacks must use "
      "InlineCallback (fixed capacity, no type-erased heap allocation)"},
@@ -277,10 +276,11 @@ Matches rule_rng_source(const SourceFile& f) {
 Matches rule_wall_clock(const SourceFile& f) {
   Matches out;
   if (!under(f.rel, "src/sim/") && !under(f.rel, "src/exp/")) return out;
-  static const std::regex re(R"(\b(system_clock|high_resolution_clock)\b)");
+  static const std::regex re(
+      R"(\b(system_clock|steady_clock|high_resolution_clock)\b)");
   match_token(f, re,
-              "host wall clock in a sim/exp path; simulated time is "
-              "engine time and wall costs use steady_clock",
+              "host clock in a sim/exp path; simulated time is engine "
+              "time and reports carry no host-clock reading",
               out);
   return out;
 }
