@@ -4,19 +4,16 @@
 #include <functional>
 #include <memory>
 
+#include "collective/bcast_internal.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
 
-namespace {
+using detail::BcastState;
+using detail::collect;
+using detail::make_state;
 
-/// Shared mutable state of one broadcast execution, kept alive by the
-/// callbacks through a shared_ptr (the engine outlives this function's
-/// stack frame only within run(), but callbacks capture by value).
-struct BcastState {
-  std::vector<Time> delivered;
-  std::uint64_t base_messages = 0;
-};
+namespace {
 
 /// Recursive binomial issue over ranks[lo, hi); ranks[lo] holds the
 /// payload *now* (the engine's current time).  Matches the analytic
@@ -36,6 +33,10 @@ void binomial_issue(sim::Network& net, const std::vector<NodeId>& ranks,
   binomial_issue(net, ranks, lo, mid, m, st);
 }
 
+}  // namespace
+
+namespace detail {
+
 BcastResult collect(sim::Network& net, const std::shared_ptr<BcastState>& st) {
   net.engine().run();
   BcastResult r;
@@ -54,6 +55,10 @@ std::shared_ptr<BcastState> make_state(sim::Network& net, std::size_t n) {
   st->base_messages = net.messages();
   return st;
 }
+
+}  // namespace detail
+
+namespace {
 
 void check_ranks(const sim::Network& net, const std::vector<NodeId>& ranks) {
   GRIDCAST_ASSERT(!ranks.empty(), "broadcast over an empty rank set");
@@ -138,10 +143,8 @@ BcastResult run_segmented_chain_bcast(sim::Network& net,
   return r;
 }
 
-namespace {
+namespace detail {
 
-/// Binomial issue over explicit global ranks, recording deliveries by
-/// global rank (unlike binomial_issue, which records by position).
 void binomial_issue_global(sim::Network& net, std::vector<NodeId> ranks,
                            Bytes m, const std::shared_ptr<BcastState>& st) {
   struct Issue {
@@ -166,7 +169,7 @@ void binomial_issue_global(sim::Network& net, std::vector<NodeId> ranks,
   issue->go(0, issue->ranks.size(), issue);
 }
 
-}  // namespace
+}  // namespace detail
 
 BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,
                                    const sched::SendOrder& order, Bytes m,
@@ -209,7 +212,7 @@ BcastResult run_hierarchical_bcast(sim::Network& net, ClusterId root_cluster,
       local.reserve(size);
       for (NodeId l = 0; l < size; ++l)
         local.push_back(grid.global_rank(c, l));
-      binomial_issue_global(net, std::move(local), m, st);
+      detail::binomial_issue_global(net, std::move(local), m, st);
     };
 
     if (intra_order == IntraOrder::kRelayFirst) {

@@ -1,9 +1,9 @@
 #include "collective/multilevel.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 
+#include "collective/bcast_internal.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
@@ -46,13 +46,7 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   }
   gateway_of_site[sites[root_cluster]] = root_cluster;
 
-  struct State {
-    std::vector<Time> delivered;
-    std::uint64_t base_messages;
-  };
-  auto st = std::make_shared<State>();
-  st->delivered.assign(net.ranks(), 0.0);
-  st->base_messages = net.messages();
+  const auto st = detail::make_state(net, net.ranks());
 
   const auto coord = [&grid](ClusterId c) { return grid.global_rank(c, 0); };
 
@@ -60,29 +54,10 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   const auto local_tree = [&net, &grid, st, m](ClusterId c) {
     const std::uint32_t size = grid.cluster(c).size();
     if (size <= 1) return;
-    struct Issue {
-      sim::Network& net;
-      std::shared_ptr<State> st;
-      std::vector<NodeId> ranks;
-      Bytes m;
-      void go(std::size_t lo, std::size_t hi,
-              const std::shared_ptr<Issue>& self) {
-        const std::size_t cnt = hi - lo;
-        if (cnt <= 1) return;
-        const std::size_t child_side = cnt / 2;
-        const std::size_t mid = lo + (cnt - child_side);
-        net.send(ranks[lo], ranks[mid], m, [self, mid, hi](Time t) {
-          self->st->delivered[self->ranks[mid]] = t;
-          self->go(mid, hi, self);
-        });
-        go(lo, mid, self);
-      }
-    };
     std::vector<NodeId> local;
     local.reserve(size);
     for (NodeId l = 0; l < size; ++l) local.push_back(grid.global_rank(c, l));
-    auto issue = std::make_shared<Issue>(Issue{net, st, std::move(local), m});
-    issue->go(0, issue->ranks.size(), issue);
+    detail::binomial_issue_global(net, std::move(local), m, st);
   };
 
   // Level 1: a gateway flat-trees to its site's other coordinators, then
@@ -118,14 +93,9 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   // The root is its own site's gateway: serve its site and its cluster.
   (*on_coordinator)(root_cluster, net.engine().now());
 
-  net.engine().run();
+  BcastResult r = detail::collect(net, st);
   // The handler owns `on_coordinator`: break the cycle.
   *on_coordinator = nullptr;
-  BcastResult r;
-  r.delivered = st->delivered;
-  r.completion =
-      *std::max_element(r.delivered.begin(), r.delivered.end());
-  r.messages = net.messages() - st->base_messages;
   return r;
 }
 

@@ -1,7 +1,6 @@
 #include "exp/montecarlo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <set>
@@ -17,7 +16,6 @@ namespace gridcast::exp {
 
 namespace {
 
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr std::uint64_t kMaxRaceCells = 1000000;
 
 }  // namespace
@@ -83,7 +81,6 @@ io::BenchReport run_race_grid(const std::vector<sched::Scheduler>& comps,
     throw InvalidInput("--iters must be >= 1");
   if (spec.block_iters == 0)
     throw InvalidInput("race block size must be >= 1");
-  spec.shard.validate();
   spec.ranges.validate();
 
   const std::vector<std::size_t> counts =
@@ -149,33 +146,30 @@ io::BenchReport run_race_grid(const std::vector<sched::Scheduler>& comps,
   r.seed = spec.seed;
   r.jitter = spec.jitter;
   r.iterations = spec.iterations;
-  r.block_iters = spec.block_iters;
-  r.shards = spec.shard.shards;
-  r.shard = spec.shard.shard;
   r.sizes.assign(counts.begin(), counts.end());
   r.series.resize(n_series);
   for (std::size_t s = 0; s < n_comps; ++s) r.series[s].name = comps[s].name();
   r.series[n_comps].name = "GlobalMin";
-  for (std::size_t s = 0; s < n_series; ++s) {
-    r.series[s].block_sum_s.assign(n_points,
-                                   std::vector<double>(n_blocks, kNaN));
-    if (s < n_comps)
-      r.series[s].block_hits.assign(n_points,
-                                    std::vector<double>(n_blocks, kNaN));
-  }
+
+  // Per-(point, block) partials, laid out [series][point][block]; each
+  // cell writes only its own slots.
+  const std::size_t n_cells = n_points * n_blocks;
+  std::vector<double> partial_sum(n_series * n_cells);
+  std::vector<std::uint64_t> partial_hits(n_comps * n_cells);
 
   // One task per (point, block) cell: all competitors race the cell's
   // draws together (hits need the per-iteration minimum across the whole
   // field), sums accumulate in iteration order within the block, and the
-  // block grid is fixed by (iterations, block_iters) alone — so any shard
-  // count, thread count or competitor superset reproduces these numbers
-  // bit for bit.
+  // block grid is fixed by (iterations, block_iters) alone — so any
+  // thread count or competitor superset reproduces these numbers bit for
+  // bit.
   pool.parallel_for(
-      n_points * n_blocks, [&](std::size_t lo, std::size_t hi) {
+      n_cells, [&](std::size_t lo, std::size_t hi) {
         std::vector<Time> mk(n_comps);
+        std::vector<double> sums(n_series);
+        std::vector<std::uint64_t> hits(n_comps);
         sched::Instance drawn;  // storage reused across iterations
         for (std::size_t cell = lo; cell < hi; ++cell) {
-          if (!spec.shard.owns(cell)) continue;
           const std::size_t p = cell / n_blocks;
           const std::size_t b = cell % n_blocks;
           const std::size_t n = counts[p];
@@ -184,8 +178,8 @@ io::BenchReport run_race_grid(const std::vector<sched::Scheduler>& comps,
               std::min<std::uint64_t>(spec.iterations,
                                       it_lo + spec.block_iters);
 
-          std::vector<double> sums(n_series, 0.0);
-          std::vector<std::uint64_t> hits(n_comps, 0);
+          std::fill(sums.begin(), sums.end(), 0.0);
+          std::fill(hits.begin(), hits.end(), 0);
           for (std::uint64_t it = it_lo; it < it_hi; ++it) {
             Rng rng = Rng::stream(race_instance_seed(spec.seed, n), it);
             sample_instance_into(spec.ranges, n, rng, spec.root, drawn);
@@ -243,139 +237,33 @@ io::BenchReport run_race_grid(const std::vector<sched::Scheduler>& comps,
           }
 
           for (std::size_t s = 0; s < n_series; ++s)
-            r.series[s].block_sum_s[p][b] = sums[s];
+            partial_sum[s * n_cells + cell] = sums[s];
           for (std::size_t s = 0; s < n_comps; ++s)
-            r.series[s].block_hits[p][b] =
-                static_cast<double>(hits[s]);
+            partial_hits[s * n_cells + cell] = hits[s];
         }
       });
 
-  // Unsharded runs reduce to the final form directly, folding blocks in
-  // block order — the exact computation merge_race_grid_shards performs —
-  // so a merged shard set is byte-identical to this.
-  if (spec.shard.shards == 1) {
-    for (std::size_t s = 0; s < n_series; ++s) {
-      auto& series = r.series[s];
-      series.makespan_s.assign(n_points, 0.0);
-      if (s < n_comps) series.hits.assign(n_points, 0.0);
-      for (std::size_t p = 0; p < n_points; ++p) {
-        double total = 0.0;
+  // Fold the blocks of each point in block order: the fold, not the
+  // worker that computed a block, fixes the float summation order.
+  for (std::size_t s = 0; s < n_series; ++s) {
+    auto& series = r.series[s];
+    series.makespan_s.assign(n_points, 0.0);
+    if (s < n_comps) series.hits.assign(n_points, 0.0);
+    for (std::size_t p = 0; p < n_points; ++p) {
+      const std::size_t first = s * n_cells + p * n_blocks;
+      double total = 0.0;
+      for (std::size_t b = 0; b < n_blocks; ++b)
+        total += partial_sum[first + b];
+      series.makespan_s[p] = total / static_cast<double>(spec.iterations);
+      if (s < n_comps) {
+        std::uint64_t h = 0;
         for (std::size_t b = 0; b < n_blocks; ++b)
-          total += series.block_sum_s[p][b];
-        series.makespan_s[p] =
-            total / static_cast<double>(spec.iterations);
-        if (s < n_comps) {
-          double h = 0.0;
-          for (std::size_t b = 0; b < n_blocks; ++b)
-            h += series.block_hits[p][b];
-          series.hits[p] = h;
-        }
+          h += partial_hits[first + b];
+        series.hits[p] = static_cast<double>(h);
       }
-      series.block_sum_s.clear();
-      series.block_hits.clear();
     }
-    r.block_iters = 0;
   }
   return r;
-}
-
-io::BenchReport merge_race_grid_shards(
-    const std::vector<io::BenchReport>& shards) {
-  using R = io::BenchReport;
-  static constexpr ShardField kFields[] = {
-      {"bench", same_field<&R::bench>},
-      {"grid", same_field<&R::grid>},
-      {"mode", same_field<&R::mode>},
-      {"root", same_field<&R::root>},
-      {"seed", same_field<&R::seed>},
-      {"iterations", same_field<&R::iterations>},
-      {"block_iters", same_field<&R::block_iters>},
-      {"clusters", same_field<&R::sizes>},
-      // Jitter only means something to the executing backend.
-      {"jitter", [](const R& a, const R& b) {
-         return a.mode != "measured" || a.jitter == b.jitter;
-       }},
-  };
-  if (!shards.empty() && !shards.front().is_montecarlo())
-    throw InvalidInput("merge: not a Monte-Carlo race report");
-  validate_shard_set(shards, kFields);
-  const io::BenchReport& ref = shards.front();
-  const std::size_t n = ref.shards;
-  if (n == 1) {
-    if (ref.shard_form())
-      throw InvalidInput("merge: single-shard race report in shard form");
-    return ref;
-  }
-
-  for (const auto& s : shards) {
-    if (!s.shard_form())
-      throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                         " is not in shard form");
-    for (std::size_t i = 0; i < s.series.size(); ++i) {
-      if (s.series[i].block_hits.empty() !=
-          ref.series[i].block_hits.empty())
-        throw InvalidInput("merge: shard " + std::to_string(s.shard) +
-                           " hit tracking disagrees for series '" +
-                           s.series[i].name + "'");
-      // Same contract as the sweep merge: the fold below indexes
-      // [point][block] unconditionally.
-      GRIDCAST_ASSERT(s.series[i].block_sum_s.size() == ref.sizes.size(),
-                      "merge precondition: block rows must cover the axis");
-      for (const auto& row : s.series[i].block_sum_s)
-        GRIDCAST_ASSERT(row.size() == ref.block_count(),
-                        "merge precondition: block row depth mismatch");
-    }
-  }
-
-  const std::size_t n_points = ref.sizes.size();
-  const std::size_t n_blocks = ref.block_count();
-
-  io::BenchReport out = ref;
-  out.shards = 1;
-  out.shard = 0;
-  out.block_iters = 0;
-  for (std::size_t s = 0; s < out.series.size(); ++s) {
-    auto& series = out.series[s];
-    const bool tracked = !series.block_hits.empty();
-    series.makespan_s.assign(n_points, 0.0);
-    if (tracked) series.hits.assign(n_points, 0.0);
-
-    for (std::size_t p = 0; p < n_points; ++p) {
-      double total = 0.0;
-      double hit_total = 0.0;
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        const std::size_t cell = p * n_blocks + b;
-        const std::size_t owner = cell % n;
-        double sum = kNaN;
-        double hit = kNaN;
-        for (const auto& shard : shards) {
-          const double v = shard.series[s].block_sum_s[p][b];
-          if (shard.shard == owner) {
-            sum = v;
-            if (tracked) hit = shard.series[s].block_hits[p][b];
-          } else if (!std::isnan(v)) {
-            throw InvalidInput(
-                "merge: cell (clusters " + std::to_string(ref.sizes[p]) +
-                ", block " + std::to_string(b) + ") computed by shard " +
-                std::to_string(shard.shard) + " but owned by shard " +
-                std::to_string(owner));
-          }
-        }
-        if (std::isnan(sum) || (tracked && std::isnan(hit)))
-          throw InvalidInput("merge: cell (clusters " +
-                             std::to_string(ref.sizes[p]) + ", block " +
-                             std::to_string(b) + ") was never computed");
-        total += sum;
-        if (tracked) hit_total += hit;
-      }
-      series.makespan_s[p] =
-          total / static_cast<double>(ref.iterations);
-      if (tracked) series.hits[p] = hit_total;
-    }
-    series.block_sum_s.clear();
-    series.block_hits.clear();
-  }
-  return out;
 }
 
 }  // namespace gridcast::exp

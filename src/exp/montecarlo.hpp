@@ -23,8 +23,8 @@
 ///
 /// Determinism: a draw's RNG stream derives from (seed, cluster count,
 /// iteration) only, and means fold per-block sums in block order, so any
-/// thread count, shard count or competitor superset reproduces a series'
-/// numbers bit for bit.
+/// thread count or competitor superset reproduces a series' numbers bit
+/// for bit.
 namespace gridcast::exp {
 
 /// What to race.  Instance-only backends ("plogp") time the sampled
@@ -38,13 +38,13 @@ namespace gridcast::exp {
 struct RaceGridSpec {
   std::vector<std::string> sched_names;
   /// Parameter points; empty = `fig1_cluster_ladder()`.  Each >= 2, no
-  /// duplicates (they would make shard merging ambiguous).
+  /// duplicates (they would make the baseline gate ambiguous).
   std::vector<std::size_t> cluster_counts;
   std::uint64_t iterations = 1000;
-  /// Iterations per shard cell.  The (point x block) partition is the unit
-  /// of sharding *and* of mean accumulation — per-block sums fold in block
-  /// order, so any shard count (and any thread count) reproduces the
-  /// unsharded report byte for byte.  Must agree across shards.
+  /// Iterations per cell.  The (point x block) partition is the unit of
+  /// parallel work *and* of mean accumulation — per-block sums fold in
+  /// block order, so any thread count reproduces the report byte for
+  /// byte.
   std::uint64_t block_iters = 256;
   std::uint64_t seed = 42;
   ClusterId root = 0;
@@ -57,7 +57,6 @@ struct RaceGridSpec {
   double hit_epsilon = 1e-9;
   /// Lower-bound pruning in composite selectors, as in RaceSpec::prune.
   bool prune = true;
-  ShardSpec shard = {};
 };
 
 /// The paper's cluster-count ladders: Fig. 1 races 2-10 clusters, Figs.
@@ -68,16 +67,16 @@ struct RaceGridSpec {
 /// Iteration blocks per parameter point, ceil(iterations / block_iters)
 /// computed without overflow.  Throws InvalidInput when the race's
 /// (point x block) grid over `points` points would exceed one million
-/// cells: the report holds a partial per cell and series, so the cap
-/// bounds its memory.  Requires block_iters >= 1.
+/// cells: the race holds a partial per cell and series, so the cap bounds
+/// its memory.  Requires block_iters >= 1.
 [[nodiscard]] std::size_t race_block_count(std::size_t points,
                                            std::uint64_t iterations,
                                            std::uint64_t block_iters);
 
 /// Deterministic RNG stream id for one parameter point's instance draws.
 /// Mixed from the race seed and the *cluster count* only — never from the
-/// competitor set, the point's position in the ladder, or the shard
-/// layout — so draws are invariant under competitor growth and ladder
+/// competitor set, the point's position in the ladder, or the thread
+/// count — so draws are invariant under competitor growth and ladder
 /// reshuffling.
 [[nodiscard]] std::uint64_t race_instance_seed(std::uint64_t seed,
                                                std::size_t clusters);
@@ -92,9 +91,7 @@ struct RaceGridSpec {
 
 /// Run the race.  Series are the resolved competitors in order, then the
 /// synthetic "GlobalMin" row (mean of the per-iteration minima, Figs. 1-2's
-/// bottom curve; it has no hit counts).  Unsharded runs return the final
-/// report; sharded runs return the shard form (per-block partials) that
-/// `merge_race_grid_shards` recombines.  Throws InvalidInput for unknown
+/// bottom curve; it has no hit counts).  Throws InvalidInput for unknown
 /// or repeated schedulers, a `can_schedule` refusal (a race cannot skip
 /// entries without skewing the hit denominator), an instance-only mismatch
 /// (see `RaceGridSpec::realise`), or a backend without broadcast support.
@@ -106,16 +103,9 @@ struct RaceGridSpec {
 /// FEF under two edge weights) or a repeated entry (twins that must tie).
 /// `spec.sched_names`, `spec.completion` and `spec.prune` are ignored —
 /// each competitor carries its own options — and repeated names are
-/// allowed, so such a report may not merge or gate unambiguously.
+/// allowed, so such a report may not gate unambiguously.
 [[nodiscard]] io::BenchReport run_race_grid(
     const std::vector<sched::Scheduler>& comps, const RaceGridSpec& spec,
     ThreadPool& pool);
-
-/// Recombine Monte-Carlo race shards (any order) into the final report an
-/// unsharded run would have produced — byte-identical once serialised.
-/// Throws InvalidInput on an invalid shard set (`validate_shard_set`) or
-/// (point, block) cells covered by zero or multiple shards.
-[[nodiscard]] io::BenchReport merge_race_grid_shards(
-    const std::vector<io::BenchReport>& shards);
 
 }  // namespace gridcast::exp

@@ -151,8 +151,6 @@ std::vector<std::size_t> parse_cluster_list(const std::string& value) {
 RaceCli parse_race_cli(const std::vector<std::string>& args) {
   RaceCli cli;
   std::vector<std::string> positionals;
-  bool shards_seen = false;
-  std::size_t shard_pair_count = 0;  // from a --shard=k/N form
   bool race_seen = false;
   bool sizes_seen = false;
   bool grid_seen = false;
@@ -172,11 +170,9 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
 
   for (const auto& arg : args) {
     const std::string key = arg.substr(0, arg.find('='));
-    if (arg == "--merge") {
-      cli.action = RaceCli::Action::kMerge;
-    } else if (arg == "--race") {
+    if (arg == "--race") {
       race_seen = true;
-    } else if (arg == "--realise" || arg == "--realize") {
+    } else if (arg == "--realise") {
       cli.race.realise = true;
     } else if (key == "--clusters") {
       cli.race.cluster_counts = parse_cluster_list(value_of(arg));
@@ -229,12 +225,10 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
                            " exceeds the largest cluster id (" +
                            std::to_string(kMaxRoot) + ")");
       cli.spec.root = static_cast<ClusterId>(root);
-    } else if (key == "--backend" || key == "--mode") {
-      // --mode is the legacy spelling: "predicted"/"measured" are
-      // registered aliases of the "plogp"/"sim" backends, so both flags
-      // are one code path into the backend registry.  resolve() throws
-      // at parse time for typos, listing what is registered, and stores
-      // the canonical name.
+    } else if (key == "--backend") {
+      // resolve() throws at parse time for typos, listing what is
+      // registered, and stores the canonical name (so the registered
+      // aliases "predicted"/"measured" land on "plogp"/"sim").
       cli.spec.backend = collective::backend_registry().resolve(value_of(arg));
     } else if (arg == "--list-backends") {
       cli.action = RaceCli::Action::kListBackends;
@@ -266,26 +260,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
                            " exceeds the cap of " +
                            std::to_string(kMaxThreads) + " workers");
       cli.threads = static_cast<std::size_t>(threads);
-    } else if (key == "--shards") {
-      cli.spec.shard.shards =
-          static_cast<std::size_t>(parse_u64(value_of(arg), "--shards"));
-      shards_seen = true;
-    } else if (key == "--shard") {
-      const std::string v = value_of(arg);
-      // Accept `k` or the self-describing `k/N` form.
-      if (const auto slash = v.find('/'); slash != std::string::npos) {
-        cli.spec.shard.shard = static_cast<std::size_t>(
-            parse_u64(v.substr(0, slash), "--shard"));
-        shard_pair_count = static_cast<std::size_t>(
-            parse_u64(v.substr(slash + 1), "--shard"));
-        // 0 is the "no k/N form seen" sentinel below; reject it here
-        // instead of silently degrading to an unsharded run.
-        if (shard_pair_count == 0)
-          throw InvalidInput("--shard=k/N: shard count N must be >= 1");
-      } else {
-        cli.spec.shard.shard =
-            static_cast<std::size_t>(parse_u64(v, "--shard"));
-      }
     } else if (key == "--out") {
       cli.out_path = value_of(arg);
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
@@ -296,16 +270,10 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     }
   }
 
-  if (shard_pair_count != 0) {
-    if (shards_seen && cli.spec.shard.shards != shard_pair_count)
-      throw InvalidInput("--shard=k/N disagrees with --shards");
-    cli.spec.shard.shards = shard_pair_count;
-  }
-
   if (race_seen) {
     if (cli.action != RaceCli::Action::kRun)
       throw InvalidInput(
-          "--race cannot be combined with --merge/--check/--list-backends");
+          "--race cannot be combined with --check/--list-backends");
     if (sizes_seen)
       throw InvalidInput(
           "--sizes applies to sweep mode; the race draws 1 MB Table 2 "
@@ -326,7 +294,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     cli.race.completion = cli.spec.completion;
     cli.race.jitter = cli.spec.jitter;
     cli.race.prune = cli.spec.prune;
-    cli.race.shard = cli.spec.shard;
     // Refuse an oversized (point x block) grid before anything allocates
     // it; run_race_grid repeats the check for library callers.
     (void)race_block_count(cli.race.cluster_counts.empty()
@@ -336,7 +303,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
     if (!positionals.empty())
       throw InvalidInput("unexpected argument '" + positionals.front() +
                          "' (gridcast_race --help shows the usage)");
-    cli.race.shard.validate();
     return cli;
   }
   if (completion_seen && cli.spec.verb != collective::Verb::kBcast)
@@ -349,14 +315,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
   if (cli.race.realise) throw InvalidInput("--realise requires --race");
 
   switch (cli.action) {
-    case RaceCli::Action::kMerge:
-      if (positionals.size() < 2)
-        throw InvalidInput(
-            "--merge needs an output path and at least one shard file: "
-            "--merge out.json a.json b.json ...");
-      cli.out_path = positionals.front();
-      cli.merge_inputs.assign(positionals.begin() + 1, positionals.end());
-      break;
     case RaceCli::Action::kCheck:
       if (cli.baseline_path.empty())
         throw InvalidInput("--check needs --baseline=<baseline.json>");
@@ -368,7 +326,6 @@ RaceCli parse_race_cli(const std::vector<std::string>& args) {
       if (!positionals.empty())
         throw InvalidInput("unexpected argument '" + positionals.front() +
                            "' (gridcast_race --help shows the usage)");
-      cli.spec.shard.validate();
       break;
     case RaceCli::Action::kRace:
       break;  // validated and returned above
@@ -434,8 +391,7 @@ int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
           << report.sizes.size() << " sizes (backend " << spec.backend;
       if (spec.verb != collective::Verb::kBcast)
         err << ", verb " << collective::verb_name(spec.verb);
-      err << ", " << report.mode << ", shard " << report.shard << "/"
-          << report.shards << ", " << cache.misses()
+      err << ", " << report.mode << ", " << cache.misses()
           << " instances derived)";
       if (!cli.out_path.empty()) err << " -> " << cli.out_path;
       err << "\n";
@@ -455,8 +411,7 @@ int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
       err << "raced " << report.series.size() << " series x "
           << report.sizes.size() << " cluster counts (" << report.iterations
           << " iterations/point, backend " << spec.backend << ", "
-          << report.mode << (spec.realise ? ", realised grids" : "")
-          << ", shard " << report.shard << "/" << report.shards << ")";
+          << report.mode << (spec.realise ? ", realised grids" : "") << ")";
       if (!cli.out_path.empty()) err << " -> " << cli.out_path;
       err << "\n";
       return 0;
@@ -473,22 +428,6 @@ int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err) {
         }
         out << " - " << reg.description_of(name) << "\n";
       }
-      return 0;
-    }
-    case RaceCli::Action::kMerge: {
-      std::vector<io::BenchReport> shards;
-      shards.reserve(cli.merge_inputs.size());
-      for (const auto& path : cli.merge_inputs)
-        shards.push_back(read_report_file(path));
-      // The report kind picks the merge: Monte-Carlo races recombine
-      // (point x block) partial sums, sweeps recombine (size x series)
-      // cells.  Mixing kinds fails inside either merge's metadata check.
-      const io::BenchReport merged = shards.front().is_montecarlo()
-                                         ? merge_race_grid_shards(shards)
-                                         : merge_race_shards(shards);
-      write_report(merged, cli.out_path, out);
-      err << "merged " << shards.size() << " shards -> " << cli.out_path
-          << "\n";
       return 0;
     }
     case RaceCli::Action::kCheck: {
@@ -521,23 +460,21 @@ std::string race_cli_usage() {
       "                [--sizes=default|256K,1M,...] [--completion=eager|"
       "after-last-send]\n"
       "                [--jitter=F] [--seed=N] [--threads=N] [--no-prune]\n"
-      "                [--shards=N --shard=k | --shard=k/N] [--out=FILE]\n"
+      "                [--out=FILE]\n"
       "  gridcast_race --race [--sched=a,b,c] [--backend=plogp|sim]\n"
       "                [--clusters=2-10|5-50:5|3,7,9] [--iters=N] "
       "[--realise]\n"
       "                [--root=N] [--completion=...] [--jitter=F] "
       "[--seed=N]\n"
-      "                [--threads=N] [--no-prune] [--shards=N --shard=k] "
-      "[--out=FILE]\n"
-      "  gridcast_race --merge out.json shard0.json shard1.json ...\n"
+      "                [--threads=N] [--no-prune] [--out=FILE]\n"
       "  gridcast_race --check=current.json --baseline=baseline.json\n"
       "                [--rtol=1e-6]\n"
       "  gridcast_race --list-backends\n"
       "(--race runs the Figs. 1-4 Monte-Carlo races over random Table 2\n"
-      " instances; grid-executing backends need --realise.  --mode=\n"
-      " predicted|measured remains as an alias of --backend.  --verb races\n"
+      " instances; grid-executing backends need --realise.  --verb races\n"
       " the two-level scatter/alltoall instead of the broadcast: sizes are\n"
-      " then per-rank (scatter) / per-rank-pair (alltoall) blocks.\n"
+      " then per-rank (scatter) / per-rank-pair (alltoall) blocks.  Any\n"
+      " --threads value produces byte-identical reports.\n"
       " --no-prune disables lower-bound pruning in the 'auto' selector —\n"
       " a pure optimisation, so reports are byte-identical either way.)\n";
 }

@@ -14,15 +14,14 @@
 /// The engines it drives live in their own modules: the Monte-Carlo race
 /// (`--race`, the Figs. 1-4 experiment) in exp/montecarlo.hpp, the
 /// message-size sweep (the Figs. 5/6 experiment, any registered backend
-/// and verb) in exp/sweep.hpp — each with its deterministic shard merge.
-/// Everything is library code — the tool is a thin `main` — so parsing,
-/// merging and the baseline gate are unit-testable.
+/// and verb) in exp/sweep.hpp.  Everything is library code — the tool is a
+/// thin `main` — so parsing, dispatch and the baseline gate are
+/// unit-testable.
 namespace gridcast::exp {
 
 /// One parsed `gridcast_race` invocation.
 struct RaceCli {
-  enum class Action : std::uint8_t { kRun, kRace, kMerge, kCheck,
-                                     kListBackends };
+  enum class Action : std::uint8_t { kRun, kRace, kCheck, kListBackends };
   Action action = Action::kRun;
 
   // kRun
@@ -33,9 +32,6 @@ struct RaceCli {
 
   // kRace (`--race`): empty sched_names = the paper's seven heuristics
   RaceGridSpec race;
-
-  // kMerge: out_path then inputs, as in `--merge out.json a.json b.json`
-  std::vector<std::string> merge_inputs;
 
   // kCheck
   std::string check_path;
@@ -58,8 +54,8 @@ struct RaceCli {
 /// decimal ("256K", "4.25MiB", case-insensitive).
 [[nodiscard]] Bytes parse_size(const std::string& token);
 
-/// Execute a parsed invocation end to end (grid loading, racing, merging,
-/// or the baseline gate).  Reports go to `out_path` or `out`; diagnostics
+/// Execute a parsed invocation end to end (grid loading, racing, or the
+/// baseline gate).  Reports go to `out_path` or `out`; diagnostics
 /// go to `err`.  Returns the process exit code (non-zero when the check
 /// action finds regressions).
 int run_race_cli(const RaceCli& cli, std::ostream& out, std::ostream& err);

@@ -1,6 +1,5 @@
 #include "exp/sweep.hpp"
 
-#include <cmath>
 #include <limits>
 #include <set>
 
@@ -15,15 +14,6 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
-
-void ShardSpec::validate() const {
-  if (shards == 0)
-    throw InvalidInput("shard spec: shards must be >= 1");
-  if (shard >= shards)
-    throw InvalidInput("shard spec: shard index " + std::to_string(shard) +
-                       " out of range for " + std::to_string(shards) +
-                       " shards");
-}
 
 std::vector<Bytes> default_size_ladder() {
   // The paper's Fig. 5/6 x-axis stops at 4 MiB; an off-by-one endpoint
@@ -47,11 +37,9 @@ SweepResult backend_sweep(const collective::Backend& backend,
                           InstanceCache& cache, ClusterId root,
                           const std::vector<sched::Scheduler>& comps,
                           std::span<const Bytes> sizes, std::uint64_t seed,
-                          ThreadPool& pool, ShardSpec shard,
-                          collective::Verb verb) {
+                          ThreadPool& pool, collective::Verb verb) {
   GRIDCAST_ASSERT(!comps.empty(), "no competitors");
   GRIDCAST_ASSERT(!sizes.empty(), "no sizes");
-  shard.validate();
   if (!backend.supports(verb))
     throw InvalidInput("backend '" + std::string(backend.name()) +
                        "' does not support verb '" +
@@ -69,12 +57,8 @@ SweepResult backend_sweep(const collective::Backend& backend,
   }
 
   // Derive every (root, size) instance up front in parallel: the gate
-  // below must see all of them so every shard computes the same verdict (a
-  // series is either fully present or absent).  This costs a sharded run
-  // the full ladder's derivations per process where the cell loop alone
-  // would pay ~1/shards of them — accepted: one derivation is O(clusters²)
-  // gap evaluations, orders of magnitude below a single simulated cell,
-  // and the cells are what sharding exists to distribute.
+  // below must see all of them (a series is either fully present or
+  // absent).
   pool.parallel_for(
       sizes.size() * gate_roots.size(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
@@ -83,11 +67,9 @@ SweepResult backend_sweep(const collective::Backend& backend,
       });
 
   // Gate: a competitor races only if it can schedule *every* instance of
-  // the ladder, so a series is either fully present or absent and shard
-  // merging stays rectangular.  Grid-shape-specialised entries (LAN-only,
-  // star-WAN) drop out here on grids they were not built for — skipped,
-  // not raced.  Every shard computes the same gate (derivation is
-  // deterministic), so the cell partition below agrees across shards.
+  // the ladder, so a series is either fully present or absent.
+  // Grid-shape-specialised entries (LAN-only, star-WAN) drop out here on
+  // grids they were not built for — skipped, not raced.
   SweepResult out;
   std::vector<const sched::Scheduler*> raced;
   raced.reserve(comps.size());
@@ -142,14 +124,13 @@ SweepResult backend_sweep(const collective::Backend& backend,
     series.completion.assign(sizes.size(), kNaN);
 
   // One task per (size, series) cell, written by index, so any worker
-  // count produces the same result and foreign shards' cells stay NaN.
+  // count produces the same result.
   // Each cell's seed derives from (size index, series name) — never from
   // scheduling order, the competitor count, or the worker count — so a
   // series' results are invariant under competitor-set growth.
   pool.parallel_for(
       sizes.size() * n_series, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t cell = lo; cell < hi; ++cell) {
-          if (!shard.owns(cell)) continue;
           const std::size_t i = cell / n_series;
           const std::size_t s = cell % n_series;
           const Bytes m = sizes[i];
@@ -197,9 +178,8 @@ std::vector<sched::Scheduler> resolve_competitors(
   out.reserve(names.size());
   for (const auto& name : names)
     out.emplace_back(name, opts);  // throws, listing registered names
-  // Duplicate series would make merge coverage and the baseline gate
-  // ambiguous; reject them by canonical name so `ecef-lat,ECEF-LAT` is
-  // caught too.
+  // Duplicate series would make the baseline gate ambiguous; reject them
+  // by canonical name so `ecef-lat,ECEF-LAT` is caught too.
   std::set<std::string_view> seen;
   for (const auto& c : out)
     if (!seen.insert(c.name()).second)
@@ -214,7 +194,6 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
                                std::vector<std::string>* skipped) {
   if (spec.sched_names.empty())
     throw InvalidInput("no schedulers selected (use --sched=a,b,c or all)");
-  spec.shard.validate();
   if (spec.root >= cache.grid().cluster_count())
     throw InvalidInput("--root=" + std::to_string(spec.root) +
                        " is out of range for a " +
@@ -237,7 +216,7 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
 
   const SweepResult sweep =
       backend_sweep(*backend, cache, spec.root, comps, sizes, spec.seed, pool,
-                    spec.shard, spec.verb);
+                    spec.verb);
   if (skipped != nullptr)
     skipped->insert(skipped->end(), sweep.skipped.begin(),
                     sweep.skipped.end());
@@ -250,8 +229,6 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
   r.root = spec.root;
   r.seed = spec.seed;
   r.jitter = spec.jitter;
-  r.shards = spec.shard.shards;
-  r.shard = spec.shard.shard;
   r.sizes = sweep.sizes;
   r.series.reserve(sweep.series.size());
   for (const auto& s : sweep.series) {
@@ -261,100 +238,6 @@ io::BenchReport run_race_sweep(InstanceCache& cache,
     r.series.push_back(std::move(row));
   }
   return r;
-}
-
-void validate_shard_set(const std::vector<io::BenchReport>& shards,
-                        std::span<const ShardField> fields) {
-  if (shards.empty()) throw InvalidInput("merge: no shard reports given");
-  const io::BenchReport& ref = shards.front();
-  const std::size_t n = ref.shards;
-  if (shards.size() != n)
-    throw InvalidInput("merge: report declares " + std::to_string(n) +
-                       " shards but " + std::to_string(shards.size()) +
-                       " files were given");
-  std::set<std::size_t> indices;
-  for (const auto& s : shards) {
-    const std::string who = "merge: shard " + std::to_string(s.shard);
-    for (const ShardField& f : fields)
-      if (!f.same(s, ref))
-        throw InvalidInput(who + " " + f.name + " does not match shard " +
-                           std::to_string(ref.shard));
-    if (s.shards != n)
-      throw InvalidInput(who + " declares a different shard count");
-    if (s.shard >= n)
-      throw InvalidInput(who + " is out of range for " + std::to_string(n) +
-                         " shards");
-    if (!indices.insert(s.shard).second)
-      throw InvalidInput(who + " appears twice");
-    if (s.series.size() != ref.series.size())
-      throw InvalidInput(who + " has a different series count");
-    for (std::size_t i = 0; i < s.series.size(); ++i)
-      if (s.series[i].name != ref.series[i].name)
-        throw InvalidInput(who + " series order/name mismatch at index " +
-                           std::to_string(i));
-  }
-}
-
-io::BenchReport merge_race_shards(const std::vector<io::BenchReport>& shards) {
-  using R = io::BenchReport;
-  static constexpr ShardField kFields[] = {
-      {"bench", same_field<&R::bench>},
-      {"grid", same_field<&R::grid>},
-      {"mode", same_field<&R::mode>},
-      {"verb", same_field<&R::verb>},
-      {"root", same_field<&R::root>},
-      {"sizes", same_field<&R::sizes>},
-      // Seed and jitter only mean something to the executing backend.
-      {"seed", [](const R& a, const R& b) {
-         return a.mode != "measured" || a.seed == b.seed;
-       }},
-      {"jitter", [](const R& a, const R& b) {
-         return a.mode != "measured" || a.jitter == b.jitter;
-       }},
-  };
-  if (!shards.empty() && shards.front().is_montecarlo())
-    throw InvalidInput(
-        "merge: Monte-Carlo race shards go through merge_race_grid_shards");
-  validate_shard_set(shards, kFields);
-  const io::BenchReport& ref = shards.front();
-  const std::size_t n = ref.shards;
-  // Parsed reports arrive with the axis covered (the reader's grammar
-  // wall); a programmatic caller handing us a short row would read out of
-  // bounds in the fold below.
-  for (const auto& s : shards)
-    for (const auto& row : s.series)
-      GRIDCAST_ASSERT(row.makespan_s.size() == ref.sizes.size(),
-                      "merge precondition: series cells must cover the axis");
-
-  io::BenchReport out = ref;
-  out.shards = 1;
-  out.shard = 0;
-  const std::size_t n_series = ref.series.size();
-  for (std::size_t i = 0; i < ref.sizes.size(); ++i) {
-    for (std::size_t s = 0; s < n_series; ++s) {
-      const std::size_t cell = i * n_series + s;
-      const std::size_t owner = cell % n;
-      double value = kNaN;
-      for (const auto& shard : shards) {
-        const double v = shard.series[s].makespan_s[i];
-        if (shard.shard == owner) {
-          value = v;
-        } else if (!std::isnan(v)) {
-          throw InvalidInput(
-              "merge: cell (size " + std::to_string(ref.sizes[i]) +
-              ", series '" + ref.series[s].name + "') computed by shard " +
-              std::to_string(shard.shard) + " but owned by shard " +
-              std::to_string(owner));
-        }
-      }
-      if (std::isnan(value))
-        throw InvalidInput("merge: cell (size " +
-                           std::to_string(ref.sizes[i]) + ", series '" +
-                           ref.series[s].name + "') was never computed");
-      out.series[s].makespan_s[i] = value;
-    }
-  }
-  return out;
 }
 
 }  // namespace gridcast::exp

@@ -21,8 +21,7 @@
 /// message on the discrete-event simulator (the Fig. 6 substitute,
 /// DESIGN.md substitution table) and contributes the grid-unaware binomial
 /// baseline the paper labels "Default LAM".  `run_race_sweep` wraps it for
-/// `gridcast_race`: registry names in, a shardable `io::BenchReport` out,
-/// recombined by `merge_race_shards`.
+/// `gridcast_race`: registry names in, an `io::BenchReport` out.
 namespace gridcast::exp {
 
 /// One strategy's series over the sweep sizes.
@@ -38,22 +37,6 @@ struct SweepResult {
   /// (grid-shape-specialised entries on the wrong grid shape): skipped
   /// rather than raced, so they have no series.
   std::vector<std::string> skipped;
-};
-
-/// Process-level partition of the (size × series) cell grid.  Cell
-/// (size i, series s) belongs to shard `(i * n_series + s) % shards`, so
-/// any shard count covers every cell exactly once and `gridcast_race
-/// --merge` can recombine shard outputs bit-identically.  Cells owned by
-/// other shards are left NaN.
-struct ShardSpec {
-  std::size_t shards = 1;
-  std::size_t shard = 0;
-
-  [[nodiscard]] bool owns(std::size_t cell) const noexcept {
-    return cell % shards == shard;
-  }
-  /// Throws InvalidInput unless 0 <= shard < shards.
-  void validate() const;
 };
 
 /// The paper's Fig. 5/6 x-axis: 256 KiB steps from 256 KiB to 4 MiB
@@ -86,7 +69,7 @@ struct ShardSpec {
 [[nodiscard]] SweepResult backend_sweep(
     const collective::Backend& backend, InstanceCache& cache, ClusterId root,
     const std::vector<sched::Scheduler>& comps, std::span<const Bytes> sizes,
-    std::uint64_t seed, ThreadPool& pool, ShardSpec shard = {},
+    std::uint64_t seed, ThreadPool& pool,
     collective::Verb verb = collective::Verb::kBcast);
 
 /// What `run_race_sweep` races.  `sched_names` are scheduler-registry
@@ -106,7 +89,6 @@ struct RaceSpec {
   sched::CompletionModel completion = sched::CompletionModel::kEager;
   double jitter = 0.05;     ///< sim backend only
   std::uint64_t seed = 1;   ///< non-deterministic backends only
-  ShardSpec shard = {};
   /// Lower-bound pruning in composite selectors ("auto"); `--no-prune`
   /// clears it.  A pure optimisation: winners and reports are
   /// byte-identical either way (tests and CI pin exactly that).
@@ -120,41 +102,12 @@ struct RaceSpec {
     const std::vector<std::string>& names, sched::HeuristicOptions opts);
 
 /// Race `spec` over the cache's grid through the backend `spec.backend`
-/// names, as a `bench == "race"` report.  Only cells owned by `spec.shard`
-/// are computed (the rest serialise as null); `grid_name` is recorded in
-/// the report so merges and baseline comparisons can refuse mismatched
-/// inputs.  Schedulers gated out by `can_schedule` get no series; their
-/// names are appended to `skipped` when given.
+/// names, as a `bench == "race"` report.  `grid_name` is recorded in the
+/// report so baseline comparisons can refuse mismatched inputs.
+/// Schedulers gated out by `can_schedule` get no series; their names are
+/// appended to `skipped` when given.
 [[nodiscard]] io::BenchReport run_race_sweep(
     InstanceCache& cache, const std::string& grid_name, const RaceSpec& spec,
     ThreadPool& pool, std::vector<std::string>* skipped = nullptr);
-
-/// Recombine one sweep report per shard (any order) into the report an
-/// unsharded run would have produced — byte-identical once serialised.
-/// Throws InvalidInput on an invalid shard set (`validate_shard_set`) or
-/// cells covered by zero or multiple shards.
-[[nodiscard]] io::BenchReport merge_race_shards(
-    const std::vector<io::BenchReport>& shards);
-
-/// One metadata field every report of a shard set must agree on: its name
-/// for the diagnostic and an equality test.
-struct ShardField {
-  const char* name;
-  bool (*same)(const io::BenchReport& a, const io::BenchReport& b);
-};
-
-/// `ShardField::same` for a plain report member.
-template <auto Member>
-bool same_field(const io::BenchReport& a, const io::BenchReport& b) {
-  return a.*Member == b.*Member;
-}
-
-/// The checks both merges (sweep and Monte-Carlo) share before folding:
-/// the set is non-empty and holds exactly the declared shard count; every
-/// shard declares that count under a distinct in-range index (so none is
-/// missing); every `fields` entry matches the first shard; and the series
-/// names agree in order.  Throws InvalidInput naming the offending shard.
-void validate_shard_set(const std::vector<io::BenchReport>& shards,
-                        std::span<const ShardField> fields);
 
 }  // namespace gridcast::exp

@@ -23,7 +23,8 @@ namespace {
 
 /// Print a double exactly as the writer always has: 17 significant digits
 /// via ostream.  Parsing then re-printing the same value reproduces the
-/// bytes, which is what makes shard merging byte-identical.  The caller's
+/// bytes, which is what makes a parsed report re-serialise to its source
+/// and the checked-in baselines stable.  The caller's
 /// precision is restored — reports also go to long-lived streams (stdout).
 void put_double(std::ostream& os, double v) {
   if (std::isnan(v)) {
@@ -287,18 +288,6 @@ const BenchSeries* BenchReport::find_series(std::string_view name) const {
   return nullptr;
 }
 
-bool BenchReport::shard_form() const noexcept {
-  for (const auto& s : series)
-    if (!s.block_sum_s.empty()) return true;
-  return false;
-}
-
-std::size_t BenchReport::block_count() const {
-  GRIDCAST_ASSERT(block_iters > 0, "block_count needs block_iters > 0");
-  return static_cast<std::size_t>((iterations + block_iters - 1) /
-                                  block_iters);
-}
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -336,59 +325,33 @@ void put_double_array(std::ostream& os, const std::vector<double>& xs) {
   os << "]";
 }
 
-void put_nested_array(std::ostream& os,
-                      const std::vector<std::vector<double>>& xs) {
-  os << "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    os << (i ? ", " : "");
-    put_double_array(os, xs[i]);
-  }
-  os << "]";
-}
-
-/// Writer-side mirror of the parser's grammar wall.  Parsed reports are
-/// validated on the way in; this guards the *producers* — a new bench or
-/// sweep assembling a BenchReport by hand — so a malformed report fails
-/// at the write site on the Debug/sanitizer lanes instead of surfacing as
-/// a confusing parse error (or a silently wrong baseline) downstream.
-/// Returns an empty string when the report is well-formed.
+/// The report grammar, one copy for both directions: the writer DCHECKs
+/// it, guarding the *producers* (a new bench or sweep assembling a
+/// BenchReport by hand) so a malformed report fails at the write site on
+/// the Debug/sanitizer lanes, and the parser refuses every report that
+/// breaks it.  Returns an empty string when the report is well-formed.
 std::string report_grammar_violation(const BenchReport& r) {
   if (r.bench != "race" && r.bench != "montecarlo")
-    return "unknown bench kind '" + r.bench + "'";
+    return "unknown report kind '" + r.bench +
+           "' (want 'race' or 'montecarlo')";
   if (r.sizes.empty()) return "empty axis";
-  if (r.shards == 0 || r.shard >= r.shards) return "shard index out of range";
   if (r.is_montecarlo()) {
-    if (r.verb != "bcast") return "montecarlo reports are broadcast-only";
+    if (r.verb != "bcast")
+      return "montecarlo reports broadcast by definition ('verb' is "
+             "sweep-only)";
     if (r.iterations == 0) return "montecarlo report needs iterations >= 1";
-  } else if (r.block_iters != 0) {
-    return "'block_iters' outside a montecarlo report";
+  } else if (r.iterations != 0) {
+    return "'iterations' is montecarlo-only";
   }
-  const bool shard_form = r.shard_form();
-  if (shard_form && !r.is_montecarlo())
-    return "block data outside a montecarlo report";
-  if (shard_form && r.block_iters == 0)
-    return "shard-form report needs block_iters >= 1";
   for (const auto& s : r.series) {
-    if (!r.is_montecarlo() && !s.hits.empty()) return "'hits' is montecarlo-only";
-    if (shard_form != !s.block_sum_s.empty())
-      return "series '" + s.name + "' mixes shard-form and final-form data";
-    if (!shard_form) {
-      if (s.makespan_s.size() != r.sizes.size())
-        return "series '" + s.name + "' cells do not cover the axis";
-      if (!s.hits.empty() && s.hits.size() != r.sizes.size())
-        return "series '" + s.name + "' hits do not cover the axis";
-    } else {
-      if (s.block_sum_s.size() != r.sizes.size())
-        return "series '" + s.name + "' block_sum_s does not cover the axis";
-      for (const auto& row : s.block_sum_s)
-        if (row.size() != r.block_count())
-          return "series '" + s.name + "' block_sum_s row has wrong depth";
-      if (!s.block_hits.empty() && s.block_hits.size() != r.sizes.size())
-        return "series '" + s.name + "' block_hits does not cover the axis";
-      for (const auto& row : s.block_hits)
-        if (row.size() != r.block_count())
-          return "series '" + s.name + "' block_hits row has wrong depth";
-    }
+    if (s.makespan_s.size() != r.sizes.size())
+      return "series '" + s.name + "' has " +
+             std::to_string(s.makespan_s.size()) + " cells for " +
+             std::to_string(r.sizes.size()) + " axis points";
+    if (!s.hits.empty() && !r.is_montecarlo())
+      return "'hits' is montecarlo-only";
+    if (!s.hits.empty() && s.hits.size() != r.sizes.size())
+      return "series '" + s.name + "' hits do not cover the axis";
   }
   return {};
 }
@@ -404,8 +367,8 @@ void write_bench_json(std::ostream& os, const BenchReport& r) {
   os << "  \"grid\": \"" << json_escape(r.grid) << "\",\n";
   os << "  \"mode\": \"" << json_escape(r.mode) << "\",\n";
   // The default verb is omitted so broadcast reports keep the exact bytes
-  // they had before the verb axis existed (shard-merge and baseline
-  // tooling compare reports byte for byte).
+  // they had before the verb axis existed (the baseline gates compare
+  // reports byte for byte).
   if (r.verb != "bcast") os << "  \"verb\": \"" << json_escape(r.verb) << "\",\n";
   os << "  \"root\": " << r.root << ",\n";
   // Monte-Carlo races record the seed whatever the mode: the instance
@@ -418,16 +381,8 @@ void write_bench_json(std::ostream& os, const BenchReport& r) {
     put_double(os, r.jitter);
     os << ",\n";
   }
-  if (r.is_montecarlo()) {
+  if (r.is_montecarlo())
     os << "  \"iterations\": " << r.iterations << ",\n";
-    // The block partition is an artefact of sharding; merged (final)
-    // reports drop it so they are byte-identical to an unsharded run.
-    if (r.shard_form()) os << "  \"block_iters\": " << r.block_iters << ",\n";
-  }
-  if (r.shards > 1) {
-    os << "  \"shards\": " << r.shards << ",\n";
-    os << "  \"shard\": " << r.shard << ",\n";
-  }
   // The axis key names what the points are: byte sizes for sweeps,
   // cluster counts for Monte-Carlo races.
   os << "  \"" << (r.is_montecarlo() ? "clusters" : "sizes") << "\": [";
@@ -436,20 +391,11 @@ void write_bench_json(std::ostream& os, const BenchReport& r) {
   os << "],\n  \"series\": [\n";
   for (std::size_t s = 0; s < r.series.size(); ++s) {
     os << "    {\"name\": \"" << json_escape(r.series[s].name) << "\"";
-    if (!r.series[s].block_sum_s.empty()) {
-      os << ", \"block_sum_s\": ";
-      put_nested_array(os, r.series[s].block_sum_s);
-      if (!r.series[s].block_hits.empty()) {
-        os << ", \"block_hits\": ";
-        put_nested_array(os, r.series[s].block_hits);
-      }
-    } else {
-      os << ", \"makespan_s\": ";
-      put_double_array(os, r.series[s].makespan_s);
-      if (!r.series[s].hits.empty()) {
-        os << ", \"hits\": ";
-        put_double_array(os, r.series[s].hits);
-      }
+    os << ", \"makespan_s\": ";
+    put_double_array(os, r.series[s].makespan_s);
+    if (!r.series[s].hits.empty()) {
+      os << ", \"hits\": ";
+      put_double_array(os, r.series[s].hits);
     }
     os << "}" << (s + 1 < r.series.size() ? "," : "") << "\n";
   }
@@ -470,14 +416,6 @@ std::vector<double> number_array(const JsonValue& v, const char* what) {
   return out;
 }
 
-std::vector<std::vector<double>> nested_number_array(const JsonValue& v,
-                                                     const char* what) {
-  std::vector<std::vector<double>> out;
-  for (const auto& e : as<JsonArray>(v, what))
-    out.push_back(number_array(e, what));
-  return out;
-}
-
 }  // namespace
 
 BenchReport bench_from_json(const std::string& text) {
@@ -485,12 +423,10 @@ BenchReport bench_from_json(const std::string& text) {
   const JsonObject& o = as<JsonObject>(root, "report");
 
   BenchReport r;
+  bool axis_seen = false;
   for (const auto& [key, value] : o) {
     if (key == "bench") {
       r.bench = as<std::string>(value, "bench");
-      if (r.bench != "race" && r.bench != "montecarlo")
-        throw InvalidInput("bench JSON: unknown report kind '" + r.bench +
-                           "' (want 'race' or 'montecarlo')");
     } else if (key == "grid") {
       r.grid = as<std::string>(value, "grid");
     } else if (key == "mode") {
@@ -508,22 +444,13 @@ BenchReport bench_from_json(const std::string& text) {
       r.jitter = as_number(value, "jitter");
     } else if (key == "iterations") {
       r.iterations = as_u64(value, "iterations");
-    } else if (key == "block_iters") {
-      r.block_iters = as_u64(value, "block_iters");
-    } else if (key == "shards") {
-      r.shards = as_u64(value, "shards");
-    } else if (key == "shard") {
-      r.shard = as_u64(value, "shard");
-    } else if (key == "threads") {
-      // Historical BENCH_sweep.json field; accepted and ignored.
     } else if (key == "sizes" || key == "clusters") {
-      if (!r.sizes.empty())
+      if (axis_seen)
         throw InvalidInput(
-            "bench JSON: 'sizes' and 'clusters' are mutually exclusive");
+            "bench JSON: more than one axis ('sizes'/'clusters') given");
+      axis_seen = true;
       for (const auto& v : as<JsonArray>(value, "sizes"))
         r.sizes.push_back(as_u64(v, "sizes[]"));
-      if (r.sizes.empty())
-        throw InvalidInput("bench JSON: empty '" + key + "' axis");
     } else if (key == "series") {
       for (const auto& sv : as<JsonArray>(value, "series")) {
         const JsonObject& so = as<JsonObject>(sv, "series[]");
@@ -531,112 +458,38 @@ BenchReport bench_from_json(const std::string& text) {
         s.name = as<std::string>(require(so, "name"), "series name");
         for (const auto& field : so) {
           const std::string_view k = field.first;
-          if (k != "name" && k != "makespan_s" && k != "hits" &&
-              k != "block_sum_s" && k != "block_hits")
+          if (k != "name" && k != "makespan_s" && k != "hits")
             throw InvalidInput("bench JSON: series '" + s.name +
                                "' has unknown key '" + field.first + "'");
         }
-        const JsonValue* mk = find(so, "makespan_s");
-        const JsonValue* bs = find(so, "block_sum_s");
-        if ((mk != nullptr) == (bs != nullptr))
-          throw InvalidInput("bench JSON: series '" + s.name +
-                             "' needs exactly one of 'makespan_s' and "
-                             "'block_sum_s'");
-        if (mk != nullptr) s.makespan_s = number_array(*mk, "makespan_s");
-        if (bs != nullptr) s.block_sum_s = nested_number_array(*bs, "block_sum_s");
-        if (const JsonValue* h = find(so, "hits")) {
-          if (mk == nullptr)
-            throw InvalidInput("bench JSON: series '" + s.name +
-                               "' mixes 'hits' with shard-form data");
+        s.makespan_s = number_array(require(so, "makespan_s"), "makespan_s");
+        if (const JsonValue* h = find(so, "hits"))
           s.hits = number_array(*h, "hits");
-        }
-        if (const JsonValue* bh = find(so, "block_hits")) {
-          if (bs == nullptr)
-            throw InvalidInput("bench JSON: series '" + s.name +
-                               "' has 'block_hits' without 'block_sum_s'");
-          s.block_hits = nested_number_array(*bh, "block_hits");
-        }
         r.series.push_back(std::move(s));
       }
     } else {
       throw InvalidInput("bench JSON: unknown key '" + key + "'");
     }
   }
-  if ((find(o, "sizes") == nullptr && find(o, "clusters") == nullptr) ||
-      find(o, "series") == nullptr)
+  if (!axis_seen || find(o, "series") == nullptr)
     throw InvalidInput("bench JSON: missing 'sizes'/'clusters' or 'series'");
-  if (r.shards == 0 || r.shard >= r.shards)
-    throw InvalidInput("bench JSON: shard index out of range");
 
-  // Axis spelling is tied to the report kind: size sweeps use "sizes",
-  // Monte-Carlo races use "clusters".  A mismatch is format drift.
-  const char* want_axis = r.is_montecarlo() ? "clusters" : "sizes";
-  for (const char* axis_key : {"sizes", "clusters"})
-    if (find(o, axis_key) != nullptr &&
-        std::string_view(axis_key) != want_axis)
-      throw InvalidInput("bench JSON: axis key '" + std::string(axis_key) +
-                         "' does not match bench kind '" + r.bench + "'");
-  if (r.is_montecarlo()) {
-    if (r.iterations == 0)
-      throw InvalidInput("bench JSON: montecarlo report needs iterations >= 1");
-    if (find(o, "verb") != nullptr)
-      throw InvalidInput(
-          "bench JSON: 'verb' is a sweep-only key (Monte-Carlo races "
-          "broadcast by definition)");
-  } else {
-    if (find(o, "iterations") != nullptr || find(o, "block_iters") != nullptr)
-      throw InvalidInput(
-          "bench JSON: 'iterations'/'block_iters' are montecarlo-only keys");
-  }
-
-  const bool shard_form = r.shard_form();
-  if (shard_form) {
-    if (!r.is_montecarlo())
-      throw InvalidInput("bench JSON: 'block_sum_s' is montecarlo-only");
-    if (r.block_iters == 0)
-      throw InvalidInput(
-          "bench JSON: shard-form report needs 'block_iters' >= 1");
-    if (r.shards <= 1)
-      throw InvalidInput(
-          "bench JSON: shard-form report without a shard partition");
-  } else if (r.block_iters != 0) {
-    throw InvalidInput(
-        "bench JSON: 'block_iters' without shard-form series data");
-  }
-
-  for (const auto& s : r.series) {
-    if (!r.is_montecarlo() && !s.hits.empty())
-      throw InvalidInput("bench JSON: 'hits' is montecarlo-only");
-    if (shard_form != !s.block_sum_s.empty())
-      throw InvalidInput("bench JSON: series '" + s.name +
-                         "' mixes shard-form and final-form data");
-    if (!shard_form) {
-      if (s.makespan_s.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: series '" + s.name + "' has " +
-                           std::to_string(s.makespan_s.size()) +
-                           " cells for " + std::to_string(r.sizes.size()) +
-                           " axis points");
-      if (!s.hits.empty() && s.hits.size() != r.sizes.size())
-        throw InvalidInput("bench JSON: series '" + s.name +
-                           "' hits do not cover the axis");
-    } else {
-      const std::size_t blocks = r.block_count();
-      const auto check_shape = [&](const std::vector<std::vector<double>>& a,
-                                   const char* what) {
-        if (a.size() != r.sizes.size())
-          throw InvalidInput("bench JSON: series '" + s.name + "' " + what +
-                             " does not cover the axis");
-        for (const auto& row : a)
-          if (row.size() != blocks)
-            throw InvalidInput("bench JSON: series '" + s.name + "' " + what +
-                               " has a row with " +
-                               std::to_string(row.size()) + " blocks, want " +
-                               std::to_string(blocks));
-      };
-      check_shape(s.block_sum_s, "block_sum_s");
-      if (!s.block_hits.empty()) check_shape(s.block_hits, "block_hits");
-    }
-  }
+  if (const std::string why = report_grammar_violation(r); !why.empty())
+    throw InvalidInput("bench JSON: " + why);
+  // Keys the writer emits for one report kind only.  A present key is
+  // format drift even where its value would pass the grammar.
+  struct OneKindKey {
+    const char* key;
+    bool montecarlo;
+  };
+  static constexpr OneKindKey kOneKindKeys[] = {
+      {"sizes", false}, {"verb", false}, {"clusters", true},
+      {"iterations", true}};
+  for (const OneKindKey& k : kOneKindKeys)
+    if (k.montecarlo != r.is_montecarlo() && find(o, k.key) != nullptr)
+      throw InvalidInput("bench JSON: '" + std::string(k.key) + "' is a " +
+                         (k.montecarlo ? "montecarlo" : "sweep") +
+                         "-only key");
   return r;
 }
 
@@ -664,10 +517,6 @@ std::vector<std::string> compare_bench(const BenchReport& baseline,
         current.verb + "'");
     return problems;
   }
-  if (baseline.shard_form() || current.shard_form()) {
-    add("shard-form report: merge the shards before comparing");
-    return problems;
-  }
   if (baseline.grid != current.grid)
     add("grid mismatch: baseline '" + baseline.grid + "' vs current '" +
         current.grid + "'");
@@ -689,9 +538,8 @@ std::vector<std::string> compare_bench(const BenchReport& baseline,
   else if (baseline.mode == "measured" &&
            (baseline.seed != current.seed ||
             baseline.jitter != current.jitter)) {
-    // Same rule the shard merger enforces: measured numbers are only
-    // comparable under one (seed, jitter).  Diagnose it as one problem
-    // instead of a per-cell drift cascade.
+    // Measured numbers are only comparable under one (seed, jitter).
+    // Diagnose it as one problem instead of a per-cell drift cascade.
     add("measured-mode seed/jitter mismatch: baseline (" +
         std::to_string(baseline.seed) + ", " +
         std::to_string(baseline.jitter) + ") vs current (" +

@@ -6,10 +6,9 @@
 
 #include "support/error.hpp"
 
-// The engine's sharding, thread/shard byte-identity, competitor-growth
-// invariance, merge refusals and CLI surface are pinned in
-// test_race_cli.cpp; these cases cover the hit-count semantics and the
-// competitor-list overload.
+// The engine's thread-count byte-identity, competitor-growth invariance
+// and CLI surface are pinned in test_race_cli.cpp; these cases cover the
+// hit-count semantics and the competitor-list overload.
 namespace gridcast::exp {
 namespace {
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -29,13 +28,12 @@ TEST(RaceCliParse, DefaultsToFullRegistryRunOnGrid5000) {
   EXPECT_TRUE(cli.spec.sched_names.empty());  // empty = all registered
   EXPECT_TRUE(cli.spec.sizes.empty());        // empty = default ladder
   EXPECT_EQ(cli.grid_arg, "grid5000");
-  EXPECT_EQ(cli.spec.shard.shards, 1u);
 }
 
 TEST(RaceCliParse, SchedListSizesAndMode) {
   const RaceCli cli = parse_race_cli(
       {"--sched=FlatTree,ecef-lat", "--sizes=256K,1M,4MiB",
-       "--mode=measured", "--jitter=0.1", "--seed=9", "--root=2",
+       "--backend=measured", "--jitter=0.1", "--seed=9", "--root=2",
        "--out=x.json"});
   ASSERT_EQ(cli.spec.sched_names.size(), 2u);
   EXPECT_EQ(cli.spec.sched_names[1], "ecef-lat");
@@ -43,8 +41,8 @@ TEST(RaceCliParse, SchedListSizesAndMode) {
   EXPECT_EQ(cli.spec.sizes[0], KiB(256));
   EXPECT_EQ(cli.spec.sizes[1], MiB(1));
   EXPECT_EQ(cli.spec.sizes[2], MiB(4));
-  // "--mode=measured" survives as an alias of the "sim" backend and is
-  // stored canonically.
+  // "measured" is a registered alias of the "sim" backend and is stored
+  // canonically.
   EXPECT_EQ(cli.spec.backend, "sim");
   EXPECT_DOUBLE_EQ(cli.spec.jitter, 0.1);
   EXPECT_EQ(cli.spec.seed, 9u);
@@ -60,7 +58,7 @@ TEST(RaceCliParse, BackendFlagAndAliases) {
   // and canonicalise.
   EXPECT_EQ(parse_race_cli({"--backend=predicted"}).spec.backend, "plogp");
   EXPECT_EQ(parse_race_cli({"--backend=MEASURED"}).spec.backend, "sim");
-  EXPECT_EQ(parse_race_cli({"--mode=Sim"}).spec.backend, "sim");
+  EXPECT_EQ(parse_race_cli({"--backend=Sim"}).spec.backend, "sim");
   // Unknown backends fail at parse time, listing what is registered.
   try {
     (void)parse_race_cli({"--backend=mpi"});
@@ -79,24 +77,10 @@ TEST(RaceCliParse, ListBackends) {
                InvalidInput);
 }
 
-TEST(RaceCliParse, ShardForms) {
-  EXPECT_EQ(parse_race_cli({"--shards=4", "--shard=3"}).spec.shard.shard, 3u);
-  const RaceCli pair = parse_race_cli({"--shard=1/3"});
-  EXPECT_EQ(pair.spec.shard.shards, 3u);
-  EXPECT_EQ(pair.spec.shard.shard, 1u);
-  // Agreeing redundant forms are fine; disagreeing ones are not.
-  EXPECT_NO_THROW((void)parse_race_cli({"--shards=3", "--shard=1/3"}));
-  EXPECT_THROW((void)parse_race_cli({"--shards=2", "--shard=1/3"}),
-               InvalidInput);
-  // Shard index out of range.
-  EXPECT_THROW((void)parse_race_cli({"--shards=2", "--shard=2"}),
-               InvalidInput);
-}
-
 TEST(RaceCliParse, RejectsBadInput) {
   EXPECT_THROW((void)parse_race_cli({"--nonsense"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"stray.json"}), InvalidInput);
-  EXPECT_THROW((void)parse_race_cli({"--mode=both"}), InvalidInput);
+  EXPECT_THROW((void)parse_race_cli({"--backend=both"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--sizes=12Q"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--sizes=,1M"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--seed=ten"}), InvalidInput);
@@ -104,18 +88,6 @@ TEST(RaceCliParse, RejectsBadInput) {
   // A keyed flag without '=' must not silently use itself as its value.
   EXPECT_THROW((void)parse_race_cli({"--out"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--check"}), InvalidInput);
-  // A zero shard count in the k/N form must not degrade to unsharded.
-  EXPECT_THROW((void)parse_race_cli({"--shard=0/0"}), InvalidInput);
-}
-
-TEST(RaceCliParse, MergeTakesOutputThenInputs) {
-  const RaceCli cli =
-      parse_race_cli({"--merge", "out.json", "a.json", "b.json"});
-  EXPECT_EQ(cli.action, RaceCli::Action::kMerge);
-  EXPECT_EQ(cli.out_path, "out.json");
-  ASSERT_EQ(cli.merge_inputs.size(), 2u);
-  EXPECT_EQ(cli.merge_inputs[1], "b.json");
-  EXPECT_THROW((void)parse_race_cli({"--merge", "out.json"}), InvalidInput);
 }
 
 TEST(RaceCliParse, CheckNeedsBaseline) {
@@ -158,78 +130,6 @@ TEST(RaceResolve, UnknownNameListsRegisteredSchedulers) {
 TEST(RaceResolve, RejectsDuplicatesEvenViaAliases) {
   EXPECT_THROW((void)resolve_competitors({"ECEF-LAT", "ecef-lat"}, {}),
                InvalidInput);
-}
-
-// ------------------------------------------------------- shard round trip
-
-TEST(RaceShard, MergedShardsAreByteIdenticalToUnsharded) {
-  const auto grid = topology::grid5000_testbed();
-  ThreadPool pool(2);
-  RaceSpec spec = two_sched_spec();
-
-  InstanceCache full_cache(grid);
-  const io::BenchReport full =
-      run_race_sweep(full_cache, "grid5000_testbed", spec, pool);
-
-  std::vector<io::BenchReport> shards;
-  for (std::size_t k = 0; k < 3; ++k) {
-    spec.shard = {3, k};
-    InstanceCache cache(grid);
-    shards.push_back(run_race_sweep(cache, "grid5000_testbed", spec, pool));
-  }
-  const io::BenchReport merged = merge_race_shards(shards);
-  EXPECT_EQ(io::bench_to_json(merged), io::bench_to_json(full));
-}
-
-TEST(RaceShard, MeasuredModeMergesByteIdenticallyToo) {
-  const auto grid = topology::grid5000_testbed();
-  ThreadPool pool(2);
-  RaceSpec spec = two_sched_spec();
-  spec.backend = "sim";
-  spec.jitter = 0.05;
-  spec.seed = 42;
-
-  InstanceCache full_cache(grid);
-  const io::BenchReport full =
-      run_race_sweep(full_cache, "grid5000_testbed", spec, pool);
-  ASSERT_EQ(full.series[0].name, "DefaultLAM");
-
-  std::vector<io::BenchReport> shards;
-  for (std::size_t k = 0; k < 2; ++k) {
-    spec.shard = {2, k};
-    InstanceCache cache(grid);
-    shards.push_back(run_race_sweep(cache, "grid5000_testbed", spec, pool));
-  }
-  const io::BenchReport merged =
-      merge_race_shards({shards[1], shards[0]});  // order must not matter
-  EXPECT_EQ(io::bench_to_json(merged), io::bench_to_json(full));
-}
-
-TEST(RaceShard, MergeRejectsBadShardSets) {
-  const auto grid = topology::grid5000_testbed();
-  ThreadPool pool(0);
-  RaceSpec spec = two_sched_spec();
-
-  std::vector<io::BenchReport> shards;
-  for (std::size_t k = 0; k < 2; ++k) {
-    spec.shard = {2, k};
-    InstanceCache cache(grid);
-    shards.push_back(run_race_sweep(cache, "grid5000_testbed", spec, pool));
-  }
-
-  EXPECT_THROW((void)merge_race_shards({}), InvalidInput);
-  EXPECT_THROW((void)merge_race_shards({shards[0]}), InvalidInput);
-  EXPECT_THROW((void)merge_race_shards({shards[0], shards[0]}), InvalidInput);
-
-  // A cell computed by a shard that does not own it is corruption.
-  auto bad = shards;
-  bad[1].series[0].makespan_s = bad[0].series[0].makespan_s;
-  EXPECT_THROW((void)merge_race_shards(bad), InvalidInput);
-
-  // Metadata must agree.
-  bad = shards;
-  bad[1].grid = "other_grid";
-  EXPECT_THROW((void)merge_race_shards(bad), InvalidInput);
 }
 
 // -------------------------------------------------------- engine details
@@ -282,7 +182,7 @@ RaceGridSpec tiny_race() {
   spec.sched_names = {"FlatTree", "ECEF-LAT"};
   spec.cluster_counts = {3, 4};
   spec.iterations = 12;
-  spec.block_iters = 4;  // 3 blocks x 2 points = 6 shardable cells
+  spec.block_iters = 4;  // 3 blocks x 2 points = 6 parallel cells
   spec.seed = 11;
   return spec;
 }
@@ -312,8 +212,6 @@ TEST(RaceGridParse, RaceFlagsAndDefaults) {
   EXPECT_EQ(cli.race.backend, "plogp");
   EXPECT_FALSE(cli.race.realise);
   EXPECT_TRUE(parse_race_cli({"--race", "--realise"}).race.realise);
-  // Shard flags flow through to the race spec.
-  EXPECT_EQ(parse_race_cli({"--race", "--shard=1/3"}).race.shard.shards, 3u);
 }
 
 TEST(RaceGridParse, LadderHelpersMatchThePaper) {
@@ -328,7 +226,8 @@ TEST(RaceGridParse, LadderHelpersMatchThePaper) {
 TEST(RaceGridParse, RejectsSweepOnlyAndMalformedFlags) {
   EXPECT_THROW((void)parse_race_cli({"--race", "--sizes=1M"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--race", "--grid=g.txt"}), InvalidInput);
-  EXPECT_THROW((void)parse_race_cli({"--race", "--merge", "a", "b"}),
+  EXPECT_THROW((void)parse_race_cli({"--race", "--check=a.json",
+                                     "--baseline=b.json"}),
                InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--clusters=3"}), InvalidInput);
   EXPECT_THROW((void)parse_race_cli({"--iters=5"}), InvalidInput);
@@ -348,46 +247,26 @@ TEST(RaceGridParse, RejectsSweepOnlyAndMalformedFlags) {
                InvalidInput);
 }
 
-TEST(RaceGrid, ShardCountsOneTwoSevenAreByteIdentical) {
-  // The property the CI job enforces end to end: same (seed, scheduler
-  // set, backend) => the merged report is byte-identical for any shard
-  // count, for the analytic backend and for the executing backend over
-  // realised draws.
-  ThreadPool pool(2);
+TEST(RaceGrid, ThreadCountDoesNotChangeTheBytes) {
+  // The determinism contract: same (seed, scheduler set, backend) => the
+  // same report bytes for any worker count, for the analytic backend and
+  // for the executing backend over realised draws.  The (point x block)
+  // cells land on workers differently at each count; the block-order fold
+  // must hide that.
   for (const bool realise : {false, true}) {
     RaceGridSpec spec = tiny_race();
     spec.backend = realise ? "sim" : "plogp";
     spec.realise = realise;
-    spec.jitter = realise ? 0.1 : 0.0;
-
-    spec.shard = {1, 0};
-    const std::string unsharded =
-        io::bench_to_json(run_race_grid(spec, pool));
-
-    for (const std::size_t shards :
-         {std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
-      std::vector<io::BenchReport> parts;
-      for (std::size_t k = 0; k < shards; ++k) {
-        spec.shard = {shards, k};
-        parts.push_back(run_race_grid(spec, pool));
-      }
-      // Merge order must not matter; rotate the inputs.
-      std::rotate(parts.begin(), parts.begin() + 1, parts.end());
-      EXPECT_EQ(io::bench_to_json(merge_race_grid_shards(parts)), unsharded)
-          << (realise ? "sim" : "plogp") << " x " << shards << " shards";
+    spec.jitter = realise ? 0.05 : 0.0;
+    ThreadPool inline_pool(0);
+    const std::string want =
+        io::bench_to_json(run_race_grid(spec, inline_pool));
+    for (const std::size_t workers : {1, 2, 4, 7}) {
+      ThreadPool pool(workers);
+      EXPECT_EQ(io::bench_to_json(run_race_grid(spec, pool)), want)
+          << spec.backend << " x " << workers << " workers";
     }
   }
-}
-
-TEST(RaceGrid, ThreadCountDoesNotChangeTheBytes) {
-  RaceGridSpec spec = tiny_race();
-  spec.backend = "sim";
-  spec.realise = true;
-  spec.jitter = 0.05;
-  ThreadPool inline_pool(0);
-  ThreadPool threaded(5);
-  EXPECT_EQ(io::bench_to_json(run_race_grid(spec, inline_pool)),
-            io::bench_to_json(run_race_grid(spec, threaded)));
 }
 
 TEST(RaceGrid, AddingACompetitorLeavesExistingSeriesUntouched) {
@@ -437,40 +316,6 @@ TEST(RaceGrid, HitsCreditEveryAchieverAndGlobalMinDominates) {
     // past the iteration count (the Fig. 4 convention).
     EXPECT_GE(total, static_cast<double>(r.iterations));
   }
-}
-
-TEST(RaceGrid, MergeRejectsBadShardSets) {
-  ThreadPool pool(0);
-  RaceGridSpec spec = tiny_race();
-  std::vector<io::BenchReport> shards;
-  for (std::size_t k = 0; k < 2; ++k) {
-    spec.shard = {2, k};
-    shards.push_back(run_race_grid(spec, pool));
-  }
-
-  EXPECT_THROW((void)merge_race_grid_shards({}), InvalidInput);
-  EXPECT_THROW((void)merge_race_grid_shards({shards[0]}), InvalidInput);
-  EXPECT_THROW((void)merge_race_grid_shards({shards[0], shards[0]}),
-               InvalidInput);
-
-  // A block computed by a shard that does not own it is corruption.
-  auto bad = shards;
-  bad[1].series[0].block_sum_s = bad[0].series[0].block_sum_s;
-  EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
-
-  // Metadata must agree (a different seed means different draws).
-  bad = shards;
-  bad[1].seed ^= 1;
-  EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
-
-  // An index outside the declared count leaves a shard missing.
-  bad = shards;
-  bad[1].shard = 2;
-  EXPECT_THROW((void)merge_race_grid_shards(bad), InvalidInput);
-
-  // Monte-Carlo shards must not slip through the sweep merge, nor sweep
-  // shards through this one.
-  EXPECT_THROW((void)merge_race_shards(shards), InvalidInput);
 }
 
 TEST(RaceGrid, OversizedCellGridIsInvalidInput) {
@@ -598,12 +443,6 @@ TEST(RaceCliErrors, OneLineDiagnosticsAndNonZeroExit) {
   EXPECT_NE(diag.find("LAN-Flat"), std::string::npos);
   EXPECT_EQ(diag.find('\n'), diag.size() - 1) << diag;
 
-  // Shard index out of range.
-  EXPECT_NE(run({"--race", "--shards=2", "--shard=2", "--iters=2"}, &diag),
-            0);
-  EXPECT_NE(diag.find("out of range"), std::string::npos);
-  EXPECT_EQ(diag.find('\n'), diag.size() - 1) << diag;
-
   // Root outside the smallest parameter point.
   EXPECT_NE(run({"--race", "--clusters=3,5", "--root=4", "--iters=2"},
                 &diag),
@@ -662,6 +501,15 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
       {check, gate, "--throughput-tol=-10"},
       {"--wall", sweep, one},
       {"--sched-cost", sweep, one},
+      // Process-level sharding and merging are retired, and so are the
+      // duplicate spellings of --backend and --realise.
+      {"--shards=2", sweep, one},
+      {"--shard=0", sweep, one},
+      {"--shard=1/2", sweep, one},
+      {"--race", "--shards=2", "--shard=1", "--clusters=3", "--iters=2"},
+      {"--merge", "out.json", "a.json", "b.json"},
+      {"--mode=measured", sweep, one},
+      {"--race", "--realize", "--clusters=3", "--iters=2"},
       // Already refused before; kept in the table as regression rows.
       {"--threads=-1"},
       {"--seed=abc"},
@@ -683,8 +531,10 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
     return std::string();
   };
   for (const auto& args : rows) (void)refusal(args);
-  for (const std::string flag : {"--wall", "--sched-cost", "--wall-tol=25",
-                                 "--throughput-tol=10"})
+  for (const std::string flag :
+       {"--wall", "--sched-cost", "--wall-tol=25", "--throughput-tol=10",
+        "--shards=2", "--shard=0", "--shard=1/2", "--merge",
+        "--mode=measured", "--mode=predicted", "--realize"})
     EXPECT_NE(refusal({flag}).find("unknown option '" + flag + "'"),
               std::string::npos)
         << flag;
@@ -700,45 +550,35 @@ TEST(RaceCliErrors, BoundaryInputsAreInvalidInputNeverAnAssertion) {
             0);
 }
 
-TEST(RaceCliDriver, RaceRunMergeAndCheckEndToEnd) {
+TEST(RaceCliDriver, RaceRunAndCheckEndToEnd) {
   const std::string dir = testing::TempDir();
   const auto path = [&](const std::string& f) { return dir + "/" + f; };
   std::ostringstream out, err;
 
-  // Sharded run -> merge -> gate against an unsharded baseline.
-  ASSERT_EQ(cli_main({"--race", "--sched=FlatTree,ECEF-LAT",
-                      "--clusters=3,4", "--iters=10", "--seed=5",
-                      "--out=" + path("race_full.json")},
-                     out, err),
-            0);
-  for (const std::string k : {"0", "1"}) {
+  // Inline run and threaded run -> same bytes -> the gate passes.
+  for (const std::string threads : {"0", "3"}) {
     ASSERT_EQ(cli_main({"--race", "--sched=FlatTree,ECEF-LAT",
                         "--clusters=3,4", "--iters=10", "--seed=5",
-                        "--shards=2", "--shard=" + k,
-                        "--out=" + path("race_s" + k + ".json")},
+                        "--threads=" + threads,
+                        "--out=" + path("race_t" + threads + ".json")},
                        out, err),
               0);
   }
-  ASSERT_EQ(cli_main({"--merge", path("race_merged.json"),
-                      path("race_s0.json"), path("race_s1.json")},
-                     out, err),
-            0);
-
-  std::ifstream a(path("race_full.json")), b(path("race_merged.json"));
+  std::ifstream a(path("race_t0.json")), b(path("race_t3.json"));
   std::ostringstream abuf, bbuf;
   abuf << a.rdbuf();
   bbuf << b.rdbuf();
   EXPECT_EQ(abuf.str(), bbuf.str());
-
-  EXPECT_EQ(cli_main({"--check=" + path("race_merged.json"),
-                      "--baseline=" + path("race_full.json")},
+  const std::string full = path("race_t0.json");
+  EXPECT_EQ(cli_main({"--check=" + path("race_t3.json"),
+                      "--baseline=" + full},
                      out, err),
             0);
 
   // Tamper with a hit count: the gate must fail.
   io::BenchReport tampered;
   {
-    std::ifstream in(path("race_full.json"));
+    std::ifstream in(full);
     tampered = io::read_bench_json(in);
   }
   tampered.series[0].hits[0] += 1;
@@ -748,7 +588,7 @@ TEST(RaceCliDriver, RaceRunMergeAndCheckEndToEnd) {
   }
   std::ostringstream err2;
   EXPECT_EQ(cli_main({"--check=" + path("race_bad.json"),
-                      "--baseline=" + path("race_full.json")},
+                      "--baseline=" + full},
                      out, err2),
             1);
   EXPECT_NE(err2.str().find("hit-count drift"), std::string::npos);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "collective/backends.hpp"
 #include "topology/grid5000.hpp"
 
@@ -155,32 +153,6 @@ TEST(Sweep, MeasuredCellSeedsDisperse) {
   // And are pure functions of their inputs.
   EXPECT_EQ(measured_cell_seed(1, 3, "ECEF-LAT"),
             measured_cell_seed(1, 3, "ECEF-LAT"));
-}
-
-TEST(Sweep, ShardedCellsUnionToTheUnshardedResult) {
-  const auto grid = topology::grid5000_testbed();
-  const auto comps = sched::ecef_family();
-  const std::vector<Bytes> sizes{KiB(512), MiB(1)};
-  ThreadPool pool(0);
-  InstanceCache cache(grid);
-  const collective::SimBackend sim(grid, {0.05});
-  const SweepResult full =
-      backend_sweep(sim, cache, 0, comps, sizes, 3, pool);
-
-  const std::size_t n_series = comps.size() + 1;
-  std::vector<SweepResult> parts;
-  for (std::size_t k = 0; k < 2; ++k)
-    parts.push_back(
-        backend_sweep(sim, cache, 0, comps, sizes, 3, pool, {2, k}));
-
-  for (std::size_t s = 0; s < n_series; ++s) {
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      const std::size_t owner = (i * n_series + s) % 2;
-      EXPECT_EQ(parts[owner].series[s].completion[i],
-                full.series[s].completion[i]);
-      EXPECT_TRUE(std::isnan(parts[1 - owner].series[s].completion[i]));
-    }
-  }
 }
 
 TEST(Sweep, EmptyInputsRejected) {

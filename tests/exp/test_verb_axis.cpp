@@ -1,6 +1,6 @@
 // The --verb axis end to end: report grammar (the "verb" key, strict
-// parsing, comparison and merge), per-verb deterministic sharding (byte-
-// identical for shard counts 1/2/7 on both backends), default-verb byte
+// parsing and comparison), per-verb thread-count determinism (byte-
+// identical for 0/1/3/7 workers on both backends), default-verb byte
 // compatibility with the pre-verb-axis grammar, golden-report fixtures,
 // and the one-line negative-path diagnostics.
 
@@ -127,7 +127,7 @@ TEST(VerbAxis, UnsupportedVerbIsAOneLineDiagnostic) {
             "'scatter'\n");
 }
 
-// -------------------------------------------------- report grammar + merge
+// ------------------------------------------------------- report grammar
 
 TEST(VerbAxis, DefaultVerbReportsAreByteIdenticalToTheOldGrammar) {
   const std::vector<std::string> base = {"--sched=FlatTree,ECEF-LAT",
@@ -170,7 +170,7 @@ TEST(VerbAxis, MonteCarloReportsRefuseTheVerbKey) {
   }
 }
 
-TEST(VerbAxis, CompareAndMergeRefuseMixedVerbs) {
+TEST(VerbAxis, CompareRefusesMixedVerbs) {
   const auto report = [&](const char* verb) {
     return io::bench_from_json(run_cli(
         {"--sched=FlatTree", "--sizes=256K", std::string("--verb=") + verb}));
@@ -181,43 +181,27 @@ TEST(VerbAxis, CompareAndMergeRefuseMixedVerbs) {
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_EQ(problems[0], "verb mismatch: baseline 'scatter' vs current "
                          "'alltoall'");
-
-  // Shards of different verbs must not merge.
-  const auto shard = [&](const char* verb, int k) {
-    return io::bench_from_json(run_cli({"--sched=FlatTree,ECEF-LAT",
-                                        "--sizes=256K,1M",
-                                        std::string("--verb=") + verb,
-                                        "--shards=2",
-                                        "--shard=" + std::to_string(k)}));
-  };
-  std::vector<io::BenchReport> mixed{shard("scatter", 0), shard("alltoall", 1)};
-  EXPECT_THROW((void)merge_race_shards(mixed), InvalidInput);
 }
 
-// ------------------------------------------------- per-verb shard identity
+// ----------------------------------------- per-verb thread-count identity
 
-TEST(VerbAxis, ShardMergeIsByteIdenticalPerVerbOnBothBackends) {
-  // Shard counts 1, 2 and 7 of the (size × series) grid must recombine to
-  // the exact bytes of the unsharded run — for each new verb, under the
-  // analytic and the executing backend.
+TEST(VerbAxis, ThreadCountIsByteIdenticalPerVerbOnBothBackends) {
+  // Any worker count spreads the (size × series) cells differently; the
+  // report bytes must not change — for every verb, under the analytic and
+  // the executing backend.
   for (const std::string backend : {"plogp", "sim"}) {
-    for (const std::string verb : {"scatter", "alltoall"}) {
+    for (const std::string verb : {"bcast", "scatter", "alltoall"}) {
       const std::vector<std::string> common = {
           "--sched=FlatTree,ECEF-LAT,BottomUp", "--sizes=256K,1M,2M",
           "--backend=" + backend, "--verb=" + verb, "--seed=9"};
-      const std::string full = run_cli(common);
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{7}}) {
-        std::vector<io::BenchReport> parts;
-        for (std::size_t k = 0; k < shards; ++k) {
-          auto args = common;
-          args.push_back("--shards=" + std::to_string(shards));
-          args.push_back("--shard=" + std::to_string(k));
-          parts.push_back(io::bench_from_json(run_cli(args)));
-        }
-        const io::BenchReport merged = merge_race_shards(parts);
-        EXPECT_EQ(io::bench_to_json(merged), full)
-            << backend << " " << verb << " x" << shards;
+      auto args = common;
+      args.push_back("--threads=0");
+      const std::string inline_run = run_cli(args);
+      for (const std::string threads : {"1", "3", "7"}) {
+        args = common;
+        args.push_back("--threads=" + threads);
+        EXPECT_EQ(run_cli(args), inline_run)
+            << backend << " " << verb << " x" << threads << " threads";
       }
     }
   }

@@ -64,15 +64,11 @@ TEST(BenchJson, RoundTripPreservesValuesAndNaN) {
   r.mode = "measured";
   r.seed = 1234567890123456789ULL;
   r.jitter = 0.05;
-  r.shards = 4;
-  r.shard = 2;
-  r.series[0].makespan_s[1] = kNaN;  // foreign shard's cell
+  r.series[0].makespan_s[1] = kNaN;  // uncomputed cell
   const BenchReport back = bench_from_json(bench_to_json(r));
   EXPECT_EQ(back.mode, "measured");
   EXPECT_EQ(back.seed, r.seed);
   EXPECT_DOUBLE_EQ(back.jitter, 0.05);
-  EXPECT_EQ(back.shards, 4u);
-  EXPECT_EQ(back.shard, 2u);
   ASSERT_EQ(back.series.size(), 2u);
   EXPECT_DOUBLE_EQ(back.series[0].makespan_s[0], 0.875);
   EXPECT_TRUE(std::isnan(back.series[0].makespan_s[1]));
@@ -102,11 +98,47 @@ TEST(BenchJson, StrictParserRejectsMalformedInput) {
           "{\"sizes\": [1, 2], "
           "\"series\": [{\"name\": \"A\", \"makespan_s\": [0.5]}]}"),
       InvalidInput);
-  // Shard index out of range.
+  // The writer's grammar applies to parsed reports too: hits belong to
+  // Monte-Carlo races, and a race needs at least one iteration.
+  EXPECT_THROW(
+      (void)bench_from_json(
+          "{\"sizes\": [1], \"series\": [{\"name\": \"A\", "
+          "\"makespan_s\": [0.5], \"hits\": [1]}]}"),
+      InvalidInput);
   EXPECT_THROW((void)bench_from_json(
-                   "{\"shards\": 2, \"shard\": 2, \"sizes\": [], "
-                   "\"series\": []}"),
+                   "{\"bench\": \"montecarlo\", \"iterations\": 0, "
+                   "\"clusters\": [3], \"series\": []}"),
                InvalidInput);
+}
+
+// Process-level sharding is retired: a report carrying its keys (or the
+// historical "threads" field) is refused as an unknown key, never half-read.
+TEST(BenchJson, RetiredShardAndThreadKeysAreRefused) {
+  const std::string head = "{\"sizes\": [1], ";
+  const std::string series =
+      "\"series\": [{\"name\": \"A\", \"makespan_s\": [0.5]}]}";
+  ASSERT_NO_THROW((void)bench_from_json(head + series));
+  for (const char* key : {"shards", "shard", "block_iters", "threads"}) {
+    try {
+      (void)bench_from_json(head + "\"" + key + "\": 2, " + series);
+      ADD_FAILURE() << "accepted '" << key << "'";
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* key : {"block_sum_s", "block_hits"}) {
+    try {
+      (void)bench_from_json(
+          "{\"bench\": \"montecarlo\", \"iterations\": 4, \"clusters\": "
+          "[3], \"series\": [{\"name\": \"A\", \"makespan_s\": [0.5], \"" +
+          std::string(key) + "\": [[1.0]]}]}");
+      ADD_FAILURE() << "accepted '" << key << "'";
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(BenchJson, VerbKeySerialisesOnlyWhenNotBcast) {
@@ -200,7 +232,7 @@ TEST(BenchCompare, MetadataMismatchFails) {
   EXPECT_FALSE(compare_bench(base, cur).empty());
 
   // Measured reports under different seeds/jitter are one metadata
-  // problem (same rule the shard merger enforces), not a drift cascade.
+  // problem, not a drift cascade.
   BenchReport mbase = base;
   mbase.mode = "measured";
   mbase.seed = 1;

@@ -1,7 +1,7 @@
 // gridcast_lint — the repo's determinism wall, as a single binary.
 //
 // The headline claim of this codebase is byte-identical reports across
-// shard counts, thread counts and backends.  The runtime suites verify
+// thread counts and backends.  The runtime suites verify
 // that claim; this tool *statically* blocks the ways contributors have
 // historically broken it: an unseeded RNG, a wall-clock read in a hot
 // path, a type-erased callback allocating per event, or a report built

@@ -4,24 +4,22 @@
 // the one registry-driven CLI behind the per-figure bench binaries.
 //
 //   gridcast_race --sched=FlatTree,ECEF-LAT --backend=plogp --out=race.json
-//   gridcast_race --sched=all --backend=sim --shards=2 --shard=0 --out=s0.json
+//   gridcast_race --sched=all --backend=sim --threads=4 --out=measured.json
 //   gridcast_race --sched=all --verb=scatter --backend=sim --out=scatter.json
 //   gridcast_race --race --clusters=2-10 --iters=10000 --out=fig1.json
 //   gridcast_race --race --backend=sim --realise --out=fig1_measured.json
-//   gridcast_race --merge race.json s0.json s1.json
 //   gridcast_race --check=race.json --baseline=BENCH_baseline.json
 //   gridcast_race --list-backends
 //
 // --backend selects the collective backend by registry name ("plogp" =
-// analytic model, "sim" = discrete-event simulator; --mode=predicted|
-// measured remains as an alias spelling).  Sharded runs partition the
-// (size x series) cell grid — or, in race mode, the (parameter-point x
-// iteration-block) grid — deterministically, and --merge recombines shard
-// outputs byte-identically to an unsharded run.  --check is the CI
-// regression gate against the checked-in baselines (race reports also
-// gate their Fig. 4 hit counts, exactly).  All logic lives in the library
-// (src/exp/race_cli.hpp) where it is unit-tested; this is only the entry
-// point.
+// analytic model, "sim" = discrete-event simulator; the registered aliases
+// "predicted"/"measured" resolve to them).  --threads spreads the (size x
+// series) cells — or, in race mode, the (parameter-point x
+// iteration-block) cells — over worker threads, and any thread count
+// writes the same bytes.  --check is the CI regression gate against the
+// checked-in baselines (race reports also gate their Fig. 4 hit counts,
+// exactly).  All logic lives in the library (src/exp/race_cli.hpp) where
+// it is unit-tested; this is only the entry point.
 
 #include <iostream>
 #include <string>
