@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "collective/result.hpp"
 #include "sched/scheduler_entry.hpp"
 #include "sim/network.hpp"
 #include "support/types.hpp"
@@ -21,31 +22,22 @@
 /// Intra-cluster pairs always exchange directly.
 namespace gridcast::collective {
 
-struct AlltoallResult {
-  /// Per destination rank: the time its last inbound block arrived.
-  std::vector<Time> completed;
-  Time completion = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t wan_messages = 0;  ///< messages that crossed clusters
-  Bytes bytes = 0;
-  Bytes wan_bytes = 0;             ///< bytes that crossed clusters
-};
-
 /// Direct personalized exchange; rank r issues sends to r+1, r+2, ...
 /// (rotated start to avoid hammering rank 0 first — the classic
-/// round-robin schedule).
-[[nodiscard]] AlltoallResult run_naive_alltoall(sim::Network& net,
-                                                Bytes block);
+/// round-robin schedule).  `delivered[r]` is when rank r's last inbound
+/// block arrived.
+[[nodiscard]] CollectiveResult run_naive_alltoall(sim::Network& net,
+                                                  Bytes block);
 
 /// Coordinator-routed exchange (see header comment).
-[[nodiscard]] AlltoallResult run_hierarchical_alltoall(sim::Network& net,
-                                                       Bytes block);
+[[nodiscard]] CollectiveResult run_hierarchical_alltoall(sim::Network& net,
+                                                         Bytes block);
 
 /// Scheduler-driven form: each coordinator sequences its outgoing
 /// aggregates by the order `sched` would reach the other clusters in a
 /// broadcast rooted at itself (slow links first / last per the entry's
 /// policy), instead of ascending cluster id.
-[[nodiscard]] AlltoallResult run_hierarchical_alltoall(
+[[nodiscard]] CollectiveResult run_hierarchical_alltoall(
     sim::Network& net, Bytes block, const sched::SchedulerEntry& sched);
 
 /// The per-coordinator aggregate injection sequences `sched` implies:

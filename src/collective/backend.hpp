@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "collective/result.hpp"
 #include "collective/verb.hpp"
 #include "sched/scheduler_entry.hpp"
 #include "sim/network.hpp"
@@ -26,21 +27,6 @@
 /// Adding a real execution harness is then "register one more backend",
 /// not "fork every sweep on a mode flag".
 namespace gridcast::collective {
-
-/// Outcome of one collective, whatever produced it.  `delivered` is
-/// per-rank for executing backends and per-cluster for analytic ones
-/// (`per_rank` says which); the scalar fields always mean the same thing.
-struct CollectiveResult {
-  /// Delivery / finish time per rank (executing backends, indexed by
-  /// global rank) or per cluster (analytic backends, indexed by cluster).
-  std::vector<Time> delivered;
-  bool per_rank = true;          ///< granularity of `delivered`
-  Time completion = 0.0;         ///< max over delivered
-  std::uint64_t messages = 0;    ///< point-to-point sends (or transfers)
-  std::uint64_t wan_messages = 0;  ///< messages that crossed clusters
-  Bytes bytes = 0;               ///< total payload bytes moved (0 = untracked)
-  Bytes wan_bytes = 0;           ///< bytes that crossed clusters
-};
 
 /// Abstract collective backend.  Implementations are immutable once
 /// constructed — every verb is const — so one instance can be shared
@@ -64,10 +50,6 @@ class Backend {
   /// Whether this backend implements `v`.  Calling an unsupported verb
   /// throws InvalidInput.
   [[nodiscard]] virtual bool supports(Verb v) const noexcept = 0;
-
-  /// True when results do not depend on the `seed` arguments (analytic
-  /// backends always; the simulator exactly when jitter is disabled).
-  [[nodiscard]] virtual bool is_deterministic() const noexcept = 0;
 
   /// True when bcast() consumes only the `SchedulerRuntimeInfo` (analytic
   /// backends).  Executing backends are bound to a concrete grid and

@@ -11,26 +11,6 @@
 
 namespace gridcast::collective {
 
-namespace {
-
-/// Everything an executed collective reports beyond the delivery vector
-/// comes from the Network's counters; the Network is fresh per call, so
-/// totals are the collective's own.
-CollectiveResult from_network(std::vector<Time> delivered, Time completion,
-                              const sim::Network& net) {
-  CollectiveResult r;
-  r.delivered = std::move(delivered);
-  r.per_rank = true;
-  r.completion = completion;
-  r.messages = net.messages();
-  r.wan_messages = net.inter_cluster_messages();
-  r.bytes = net.bytes_sent();
-  r.wan_bytes = net.inter_cluster_bytes();
-  return r;
-}
-
-}  // namespace
-
 SimBackend::SimBackend(const topology::Grid& grid, sim::JitterConfig jitter)
     : grid_(&grid), jitter_(jitter) {
   // Written so NaN fails too.  Checked here, where the value enters the
@@ -60,30 +40,26 @@ CollectiveResult SimBackend::bcast(const sched::SchedulerEntry& sched,
   sim::Network net(*grid_, jitter_, seed);
   // The info-taking overload asserts sched.can_schedule(info) — the
   // Backend::bcast contract — before executing the order.
-  BcastResult b = run_hierarchical_bcast(net, sched, info);
-  return from_network(std::move(b.delivered), b.completion, net);
+  return run_hierarchical_bcast(net, sched, info);
 }
 
 CollectiveResult SimBackend::baseline_bcast(ClusterId root_cluster, Bytes m,
                                             std::uint64_t seed) const {
   sim::Network net(*grid_, jitter_, seed);
-  BcastResult b = run_grid_unaware_binomial(net, root_cluster, m);
-  return from_network(std::move(b.delivered), b.completion, net);
+  return run_grid_unaware_binomial(net, root_cluster, m);
 }
 
 CollectiveResult SimBackend::scatter(const sched::SchedulerEntry& sched,
                                      ClusterId root_cluster, Bytes block,
                                      std::uint64_t seed) const {
   sim::Network net(*grid_, jitter_, seed);
-  ScatterResult s = run_hierarchical_scatter(net, root_cluster, block, sched);
-  return from_network(std::move(s.delivered), s.completion, net);
+  return run_hierarchical_scatter(net, root_cluster, block, sched);
 }
 
 CollectiveResult SimBackend::alltoall(const sched::SchedulerEntry& sched,
                                       Bytes block, std::uint64_t seed) const {
   sim::Network net(*grid_, jitter_, seed);
-  AlltoallResult a = run_hierarchical_alltoall(net, block, sched);
-  return from_network(std::move(a.completed), a.completion, net);
+  return run_hierarchical_alltoall(net, block, sched);
 }
 
 CollectiveResult PlogpBackend::bcast(const sched::SchedulerEntry& sched,

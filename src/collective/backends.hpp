@@ -32,9 +32,6 @@ class SimBackend final : public Backend {
     return "measured";
   }
   [[nodiscard]] bool supports(Verb v) const noexcept override;
-  [[nodiscard]] bool is_deterministic() const noexcept override {
-    return jitter_.frac == 0.0;
-  }
   [[nodiscard]] bool instance_only() const noexcept override { return false; }
   [[nodiscard]] std::string_view baseline_series() const noexcept override {
     return "DefaultLAM";
@@ -88,9 +85,6 @@ class PlogpBackend final : public Backend {
     return "predicted";
   }
   [[nodiscard]] bool supports(Verb) const noexcept override { return true; }
-  [[nodiscard]] bool is_deterministic() const noexcept override {
-    return true;
-  }
   [[nodiscard]] bool instance_only() const noexcept override { return true; }
 
   [[nodiscard]] CollectiveResult bcast(const sched::SchedulerEntry& sched,

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "collective/result.hpp"
 #include "sched/schedule.hpp"
 #include "sched/scheduler_entry.hpp"
 #include "sim/network.hpp"
@@ -15,34 +16,26 @@
 /// predictors in plogp/collective_predict.hpp are the Fig. 5 counterpart.
 namespace gridcast::collective {
 
-/// Outcome of one executed broadcast.
-struct BcastResult {
-  /// Delivery time per participating rank, indexed like the `ranks`
-  /// argument (the root's entry is its start time).
-  std::vector<Time> delivered;
-  Time completion = 0.0;         ///< max over delivered
-  std::uint64_t messages = 0;    ///< point-to-point sends executed
-};
+/// The four intra-cluster algorithms over an explicit rank list (ranks[0]
+/// is the root).  Each matches its plogp::predict_*_bcast closed form;
+/// `delivered` is indexed by global rank, like every executor's.
 
-/// Binomial-tree broadcast over `ranks` (ranks[0] is the tree root), the
-/// MPI default and the paper's intra-cluster strategy.  The tree shape
-/// matches plogp::predict_binomial_bcast exactly.
-[[nodiscard]] BcastResult run_binomial_bcast(sim::Network& net,
-                                             const std::vector<NodeId>& ranks,
-                                             Bytes m);
+/// Binomial tree, the MPI default: the child handles floor(n/2) ranks,
+/// the holder keeps the rest and keeps injecting.
+[[nodiscard]] CollectiveResult run_binomial_bcast(
+    sim::Network& net, const std::vector<NodeId>& ranks, Bytes m);
 
-/// Flat-tree broadcast over `ranks` (root sends to each in order).
-[[nodiscard]] BcastResult run_flat_bcast(sim::Network& net,
-                                         const std::vector<NodeId>& ranks,
-                                         Bytes m);
+/// Flat tree: the root sends to each rank in order.
+[[nodiscard]] CollectiveResult run_flat_bcast(
+    sim::Network& net, const std::vector<NodeId>& ranks, Bytes m);
 
-/// Chain broadcast (rank i forwards to rank i+1).
-[[nodiscard]] BcastResult run_chain_bcast(sim::Network& net,
-                                          const std::vector<NodeId>& ranks,
-                                          Bytes m);
+/// Chain: rank i forwards to rank i+1.
+[[nodiscard]] CollectiveResult run_chain_bcast(
+    sim::Network& net, const std::vector<NodeId>& ranks, Bytes m);
 
-/// Segmented-chain (pipelined) broadcast.
-[[nodiscard]] BcastResult run_segmented_chain_bcast(
+/// Segmented (pipelined) chain: `segment`-byte pieces, each forwarded as
+/// soon as it arrives.
+[[nodiscard]] CollectiveResult run_segmented_chain_bcast(
     sim::Network& net, const std::vector<NodeId>& ranks, Bytes m,
     Bytes segment);
 
@@ -58,10 +51,11 @@ enum class IntraOrder : std::uint8_t {
 
 /// The paper's grid broadcast: coordinators relay the message between
 /// clusters following `order` (a heuristic's SendOrder), then each cluster
-/// runs an internal binomial broadcast; `intra_order` decides whether the
-/// coordinator's NIC serves the relays or the local tree first.  Returns
-/// delivery times for **all** grid ranks (indexed by global rank).
-[[nodiscard]] BcastResult run_hierarchical_bcast(
+/// runs its local broadcast with the algorithm it names
+/// (`Cluster::algorithm()`, the one its T_c predicts); `intra_order`
+/// decides whether the coordinator's NIC serves the relays or the local
+/// tree first.  Returns delivery times for **all** grid ranks.
+[[nodiscard]] CollectiveResult run_hierarchical_bcast(
     sim::Network& net, ClusterId root_cluster, const sched::SendOrder& order,
     Bytes m, IntraOrder intra_order = IntraOrder::kRelayFirst);
 
@@ -69,7 +63,7 @@ enum class IntraOrder : std::uint8_t {
 /// m-byte broadcast, asks `sched` for the order (after `can_schedule`),
 /// and executes it.  This is the one-call path from a registry entry
 /// (`registry().make("ECEF-LAT")`) to a measured completion time.
-[[nodiscard]] BcastResult run_hierarchical_bcast(
+[[nodiscard]] CollectiveResult run_hierarchical_bcast(
     sim::Network& net, ClusterId root_cluster,
     const sched::SchedulerEntry& sched, Bytes m,
     IntraOrder intra_order = IntraOrder::kRelayFirst);
@@ -78,7 +72,7 @@ enum class IntraOrder : std::uint8_t {
 /// message size come from it).  Sweep harnesses derive one instance per
 /// message size through `exp::InstanceCache` and race every competitor
 /// over it, instead of paying the O(clusters²) derivation per cell.
-[[nodiscard]] BcastResult run_hierarchical_bcast(
+[[nodiscard]] CollectiveResult run_hierarchical_bcast(
     sim::Network& net, const sched::SchedulerEntry& sched,
     const sched::SchedulerRuntimeInfo& info,
     IntraOrder intra_order = IntraOrder::kRelayFirst);
@@ -86,8 +80,7 @@ enum class IntraOrder : std::uint8_t {
 /// The "Default LAM" comparator of Fig. 6: a grid-unaware binomial tree
 /// over all ranks in global rank order, rooted at `root_cluster`'s
 /// coordinator.
-[[nodiscard]] BcastResult run_grid_unaware_binomial(sim::Network& net,
-                                                    ClusterId root_cluster,
-                                                    Bytes m);
+[[nodiscard]] CollectiveResult run_grid_unaware_binomial(
+    sim::Network& net, ClusterId root_cluster, Bytes m);
 
 }  // namespace gridcast::collective

@@ -1,9 +1,6 @@
 #include "collective/multilevel.hpp"
 
-#include <functional>
-#include <memory>
-
-#include "collective/bcast_internal.hpp"
+#include "collective/execution.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
@@ -24,8 +21,9 @@ SiteMap sites_by_latency(const topology::Grid& grid, Time site_threshold) {
   return site;
 }
 
-BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
-                                 const SiteMap& sites, Bytes m) {
+CollectiveResult run_multilevel_bcast(sim::Network& net,
+                                      ClusterId root_cluster,
+                                      const SiteMap& sites, Bytes m) {
   const auto& grid = net.grid();
   const auto n = static_cast<ClusterId>(grid.cluster_count());
   GRIDCAST_ASSERT(root_cluster < n, "root cluster out of range");
@@ -46,57 +44,46 @@ BcastResult run_multilevel_bcast(sim::Network& net, ClusterId root_cluster,
   }
   gateway_of_site[sites[root_cluster]] = root_cluster;
 
-  const auto st = detail::make_state(net, net.ranks());
-
-  const auto coord = [&grid](ClusterId c) { return grid.global_rank(c, 0); };
-
-  // Level 2: local binomial once a coordinator holds the payload.
-  const auto local_tree = [&net, &grid, st, m](ClusterId c) {
-    const std::uint32_t size = grid.cluster(c).size();
-    if (size <= 1) return;
-    std::vector<NodeId> local;
-    local.reserve(size);
-    for (NodeId l = 0; l < size; ++l) local.push_back(grid.global_rank(c, l));
-    detail::binomial_issue_global(net, std::move(local), m, st);
-  };
-
   // Level 1: a gateway flat-trees to its site's other coordinators, then
-  // broadcasts locally; plain coordinators go straight to level 2.
-  const auto on_coordinator =
-      std::make_shared<std::function<void(ClusterId, Time)>>();
-  *on_coordinator = [&net, st, coord, &clusters_of_site, &sites,
-                     gateway_of_site, local_tree, on_coordinator,
-                     m](ClusterId c, Time t) {
-    const NodeId me = coord(c);
-    st->delivered[me] = t;
-    if (gateway_of_site[sites[c]] == c) {
-      for (const ClusterId d : clusters_of_site[sites[c]]) {
-        if (d == c) continue;
-        net.send(me, coord(d), m, [on_coordinator, d](Time tt) {
-          (*on_coordinator)(d, tt);
-        });
+  // broadcasts locally (level 2, the cluster's own algorithm); plain
+  // coordinators go straight to level 2.
+  struct Levels {
+    detail::Execution& ex;
+    const SiteMap& sites;
+    const std::vector<ClusterId>& gateway_of_site;
+    const std::vector<std::vector<ClusterId>>& clusters_of_site;
+    Bytes m;
+
+    void receive(ClusterId c, Time t) {
+      const auto& grid = ex.net.grid();
+      const NodeId me = grid.global_rank(c, 0);
+      ex.record(me, t);
+      if (gateway_of_site[sites[c]] == c) {
+        for (const ClusterId d : clusters_of_site[sites[c]]) {
+          if (d == c) continue;
+          ex.net.send(me, grid.global_rank(d, 0), m,
+                      [this, d](Time tt) { receive(d, tt); });
+        }
       }
+      detail::local_tree_issue(ex, c, m);
     }
-    local_tree(c);
   };
+
+  detail::Execution ex(net);
+  Levels levels{ex, sites, gateway_of_site, clusters_of_site, m};
 
   // Level 0: the root flat-trees to every remote site's gateway.
-  const NodeId root_rank = coord(root_cluster);
-  st->delivered[root_rank] = net.engine().now();
+  const NodeId root_rank = grid.global_rank(root_cluster, 0);
   for (std::uint32_t s = 0; s < gateway_of_site.size(); ++s) {
     if (gateway_of_site[s] == kNoCluster || s == sites[root_cluster])
       continue;
     const ClusterId gw = gateway_of_site[s];
-    net.send(root_rank, coord(gw), m,
-             [on_coordinator, gw](Time t) { (*on_coordinator)(gw, t); });
+    net.send(root_rank, grid.global_rank(gw, 0), m,
+             [&levels, gw](Time t) { levels.receive(gw, t); });
   }
   // The root is its own site's gateway: serve its site and its cluster.
-  (*on_coordinator)(root_cluster, net.engine().now());
-
-  BcastResult r = detail::collect(net, st);
-  // The handler owns `on_coordinator`: break the cycle.
-  *on_coordinator = nullptr;
-  return r;
+  levels.receive(root_cluster, net.engine().now());
+  return ex.finish();
 }
 
 }  // namespace gridcast::collective

@@ -13,11 +13,12 @@
 /// between sites, level 1 = LAN between clusters of one site, level 2 =
 /// inside a cluster).  The root's coordinator flat-trees to one gateway
 /// coordinator per remote site; each gateway flat-trees to the other
-/// coordinators of its site; every coordinator then runs the local
-/// binomial tree.  Communication *overlaps across levels* — a site can
-/// fan out internally while the root is still contacting other sites —
-/// which is the property Karonis exploited; but each level still uses a
-/// flat tree, which is the weakness the paper's heuristics remove.
+/// coordinators of its site; every coordinator then runs its cluster's
+/// local broadcast (`Cluster::algorithm()`).  Communication *overlaps
+/// across levels* — a site can fan out internally while the root is still
+/// contacting other sites — which is the property Karonis exploited; but
+/// each level still uses a flat tree, which is the weakness the paper's
+/// heuristics remove.
 namespace gridcast::collective {
 
 /// Assignment of each cluster to a site (site ids need not be dense).
@@ -29,9 +30,9 @@ using SiteMap = std::vector<std::uint32_t>;
                                        Time site_threshold = ms(2.0));
 
 /// Execute the multi-level broadcast on the simulator.
-[[nodiscard]] BcastResult run_multilevel_bcast(sim::Network& net,
-                                               ClusterId root_cluster,
-                                               const SiteMap& sites,
-                                               Bytes m);
+[[nodiscard]] CollectiveResult run_multilevel_bcast(sim::Network& net,
+                                                    ClusterId root_cluster,
+                                                    const SiteMap& sites,
+                                                    Bytes m);
 
 }  // namespace gridcast::collective

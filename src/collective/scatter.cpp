@@ -1,87 +1,53 @@
 #include "collective/scatter.hpp"
 
 #include <algorithm>
-#include <memory>
 
+#include "collective/execution.hpp"
 #include "support/error.hpp"
 
 namespace gridcast::collective {
 
-namespace {
+using detail::Execution;
 
-struct State {
-  std::vector<Time> delivered;
-  std::uint64_t base_messages = 0;
-  std::uint64_t base_wan_messages = 0;
-  Bytes base_bytes = 0;
-  Bytes base_wan_bytes = 0;
-};
-
-ScatterResult collect(sim::Network& net, const std::shared_ptr<State>& st) {
-  net.engine().run();
-  ScatterResult r;
-  r.delivered = st->delivered;
-  r.completion =
-      *std::max_element(r.delivered.begin(), r.delivered.end());
-  r.messages = net.messages() - st->base_messages;
-  r.wan_messages = net.inter_cluster_messages() - st->base_wan_messages;
-  r.bytes = net.bytes_sent() - st->base_bytes;
-  r.wan_bytes = net.inter_cluster_bytes() - st->base_wan_bytes;
-  return r;
-}
-
-std::shared_ptr<State> make_state(sim::Network& net) {
-  auto st = std::make_shared<State>();
-  st->delivered.assign(net.ranks(), 0.0);
-  st->base_messages = net.messages();
-  st->base_wan_messages = net.inter_cluster_messages();
-  st->base_bytes = net.bytes_sent();
-  st->base_wan_bytes = net.inter_cluster_bytes();
-  return st;
-}
-
-}  // namespace
-
-ScatterResult run_naive_scatter(sim::Network& net, ClusterId root_cluster,
-                                Bytes block) {
+CollectiveResult run_naive_scatter(sim::Network& net, ClusterId root_cluster,
+                                   Bytes block) {
   const auto& grid = net.grid();
   GRIDCAST_ASSERT(root_cluster < grid.cluster_count(),
                   "root cluster out of range");
-  auto st = make_state(net);
+  Execution ex(net);
   const NodeId root = grid.global_rank(root_cluster, 0);
-  st->delivered[root] = net.engine().now();
+  ex.record(root, net.engine().now());
   for (NodeId r = 0; r < net.ranks(); ++r) {
     if (r == root) continue;
-    net.send(root, r, block, [st, r](Time t) { st->delivered[r] = t; });
+    net.send(root, r, block, [&ex, r](Time t) { ex.record(r, t); });
   }
-  return collect(net, st);
+  return ex.finish();
 }
 
 namespace {
 
 /// Shared body of the two-level scatter: `remote` fixes the root's WAN
 /// injection sequence.
-ScatterResult hierarchical_scatter_over(sim::Network& net,
-                                        ClusterId root_cluster, Bytes block,
-                                        const std::vector<ClusterId>& remote) {
+CollectiveResult hierarchical_scatter_over(
+    sim::Network& net, ClusterId root_cluster, Bytes block,
+    const std::vector<ClusterId>& remote) {
   const auto& grid = net.grid();
   GRIDCAST_ASSERT(root_cluster < grid.cluster_count(),
                   "root cluster out of range");
-  auto st = make_state(net);
+  Execution ex(net);
   const NodeId root = grid.global_rank(root_cluster, 0);
-  st->delivered[root] = net.engine().now();
+  ex.record(root, net.engine().now());
 
   for (const ClusterId c : remote) {
     const NodeId coord = grid.global_rank(c, 0);
     const std::uint32_t size = grid.cluster(c).size();
     const Bytes aggregate = static_cast<Bytes>(size) * block;
-    net.send(root, coord, aggregate, [&net, &grid, st, c, coord, block,
-                                      size](Time t) {
-      st->delivered[coord] = t;
+    net.send(root, coord, aggregate, [&ex, c, coord, block, size](Time t) {
+      ex.record(coord, t);
       for (NodeId l = 1; l < size; ++l) {
-        const NodeId dst = grid.global_rank(c, l);
-        net.send(coord, dst, block,
-                 [st, dst](Time tt) { st->delivered[dst] = tt; });
+        const NodeId dst = ex.net.grid().global_rank(c, l);
+        ex.net.send(coord, dst, block,
+                    [&ex, dst](Time tt) { ex.record(dst, tt); });
       }
     });
   }
@@ -89,15 +55,15 @@ ScatterResult hierarchical_scatter_over(sim::Network& net,
   const std::uint32_t root_size = grid.cluster(root_cluster).size();
   for (NodeId l = 1; l < root_size; ++l) {
     const NodeId dst = grid.global_rank(root_cluster, l);
-    net.send(root, dst, block, [st, dst](Time t) { st->delivered[dst] = t; });
+    net.send(root, dst, block, [&ex, dst](Time t) { ex.record(dst, t); });
   }
-  return collect(net, st);
+  return ex.finish();
 }
 
 }  // namespace
 
-ScatterResult run_hierarchical_scatter(sim::Network& net,
-                                       ClusterId root_cluster, Bytes block) {
+CollectiveResult run_hierarchical_scatter(sim::Network& net,
+                                          ClusterId root_cluster, Bytes block) {
   const auto& grid = net.grid();
   GRIDCAST_ASSERT(root_cluster < grid.cluster_count(),
                   "root cluster out of range");
@@ -130,9 +96,9 @@ std::vector<ClusterId> scatter_wan_order(const topology::Grid& grid,
   return remote;
 }
 
-ScatterResult run_hierarchical_scatter(sim::Network& net,
-                                       ClusterId root_cluster, Bytes block,
-                                       const sched::SchedulerEntry& sched) {
+CollectiveResult run_hierarchical_scatter(sim::Network& net,
+                                          ClusterId root_cluster, Bytes block,
+                                          const sched::SchedulerEntry& sched) {
   return hierarchical_scatter_over(
       net, root_cluster, block,
       scatter_wan_order(net.grid(), root_cluster, block, sched));

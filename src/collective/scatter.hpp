@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "collective/result.hpp"
 #include "sched/scheduler_entry.hpp"
 #include "sim/network.hpp"
 #include "support/types.hpp"
@@ -16,32 +17,21 @@
 /// split the broadcast heuristics exploit.
 namespace gridcast::collective {
 
-struct ScatterResult {
-  /// Delivery time of each rank's block, indexed by global rank.
-  std::vector<Time> delivered;
-  Time completion = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t wan_messages = 0;  ///< messages that crossed clusters
-  Bytes bytes = 0;                 ///< total payload bytes moved
-  Bytes wan_bytes = 0;             ///< bytes that crossed clusters
-};
-
 /// Root coordinator of `root_cluster` sends each rank its block directly.
-[[nodiscard]] ScatterResult run_naive_scatter(sim::Network& net,
-                                              ClusterId root_cluster,
-                                              Bytes block);
+[[nodiscard]] CollectiveResult run_naive_scatter(sim::Network& net,
+                                                 ClusterId root_cluster,
+                                                 Bytes block);
 
 /// Aggregated two-level scatter (see header comment).  Remote clusters
 /// receive `size * block` bytes at the coordinator, then distribute.
-[[nodiscard]] ScatterResult run_hierarchical_scatter(sim::Network& net,
-                                                     ClusterId root_cluster,
-                                                     Bytes block);
+[[nodiscard]] CollectiveResult run_hierarchical_scatter(
+    sim::Network& net, ClusterId root_cluster, Bytes block);
 
 /// Scheduler-driven form: the root's WAN injections are sequenced by when
 /// each cluster is reached in `sched`'s broadcast order, so the scatter
 /// reuses the same grid knowledge the broadcast heuristics encode (urgent
 /// clusters first) instead of the size-sorted default above.
-[[nodiscard]] ScatterResult run_hierarchical_scatter(
+[[nodiscard]] CollectiveResult run_hierarchical_scatter(
     sim::Network& net, ClusterId root_cluster, Bytes block,
     const sched::SchedulerEntry& sched);
 

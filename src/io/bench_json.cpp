@@ -476,20 +476,25 @@ BenchReport bench_from_json(const std::string& text) {
 
   if (const std::string why = report_grammar_violation(r); !why.empty())
     throw InvalidInput("bench JSON: " + why);
-  // Keys the writer emits for one report kind only.  A present key is
-  // format drift even where its value would pass the grammar.
-  struct OneKindKey {
+  // Keys the writer emits for some reports only (see bench_to_json).  A
+  // present key is format drift even where its value would pass the
+  // grammar: the writer would drop it, so the file could not round-trip.
+  const bool montecarlo = r.is_montecarlo();
+  const bool measured = r.mode == "measured";
+  const struct ScopedKey {
     const char* key;
-    bool montecarlo;
-  };
-  static constexpr OneKindKey kOneKindKeys[] = {
-      {"sizes", false}, {"verb", false}, {"clusters", true},
-      {"iterations", true}};
-  for (const OneKindKey& k : kOneKindKeys)
-    if (k.montecarlo != r.is_montecarlo() && find(o, k.key) != nullptr)
-      throw InvalidInput("bench JSON: '" + std::string(k.key) + "' is a " +
-                         (k.montecarlo ? "montecarlo" : "sweep") +
-                         "-only key");
+    bool allowed;
+    const char* scope;
+  } scoped_keys[] = {{"sizes", !montecarlo, "sweep"},
+                     {"verb", !montecarlo, "sweep"},
+                     {"clusters", montecarlo, "montecarlo"},
+                     {"iterations", montecarlo, "montecarlo"},
+                     {"seed", measured || montecarlo, "measured or montecarlo"},
+                     {"jitter", measured, "measured"}};
+  for (const ScopedKey& k : scoped_keys)
+    if (!k.allowed && find(o, k.key) != nullptr)
+      throw InvalidInput("bench JSON: '" + std::string(k.key) +
+                         "' belongs to " + k.scope + " reports only");
   return r;
 }
 

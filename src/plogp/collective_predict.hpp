@@ -26,6 +26,10 @@ enum class BcastAlgorithm : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(BcastAlgorithm a) noexcept;
 
+/// Segment size of the segmented chain wherever none is given: the T_c the
+/// schedulers read and the chain the executor runs cut the payload alike.
+inline constexpr Bytes kDefaultSegment = KiB(64);
+
 /// Completion time of a flat-tree broadcast of m bytes to `nodes` ranks
 /// (root included).  Zero when nodes <= 1.
 [[nodiscard]] Time predict_flat_bcast(const Params& p, std::uint32_t nodes,
@@ -49,12 +53,12 @@ enum class BcastAlgorithm : std::uint8_t {
 /// Dispatcher used by the topology layer to compute T_c.
 [[nodiscard]] Time predict_bcast(BcastAlgorithm a, const Params& p,
                                  std::uint32_t nodes, Bytes m,
-                                 Bytes segment = KiB(64));
+                                 Bytes segment = kDefaultSegment);
 
 /// Pick the fastest algorithm for the given size/population — the "tuning"
 /// step of the authors' intra-cluster paper.
-[[nodiscard]] BcastAlgorithm best_bcast_algorithm(const Params& p,
-                                                  std::uint32_t nodes, Bytes m,
-                                                  Bytes segment = KiB(64));
+[[nodiscard]] BcastAlgorithm best_bcast_algorithm(
+    const Params& p, std::uint32_t nodes, Bytes m,
+    Bytes segment = kDefaultSegment);
 
 }  // namespace gridcast::plogp

@@ -28,7 +28,7 @@ TEST(Alltoall, NaiveMessageCount) {
   sim::Network net(grid, {}, 1);
   const auto r = run_naive_alltoall(net, KiB(4));
   EXPECT_EQ(r.messages, 5u * 4u);  // N(N-1)
-  for (const Time t : r.completed) EXPECT_GT(t, 0.0);
+  for (const Time t : r.delivered) EXPECT_GT(t, 0.0);
 }
 
 TEST(Alltoall, NaiveBytesAccounting) {
@@ -43,11 +43,11 @@ TEST(Alltoall, HierarchicalCompletesEveryRank) {
   const auto grid = two_sites(4, 3);
   sim::Network net(grid, {}, 1);
   const auto r = run_hierarchical_alltoall(net, KiB(4));
-  ASSERT_EQ(r.completed.size(), 7u);
-  for (const Time t : r.completed) EXPECT_GT(t, 0.0);
+  ASSERT_EQ(r.delivered.size(), 7u);
+  for (const Time t : r.delivered) EXPECT_GT(t, 0.0);
   EXPECT_DOUBLE_EQ(
       r.completion,
-      *std::max_element(r.completed.begin(), r.completed.end()));
+      *std::max_element(r.delivered.begin(), r.delivered.end()));
 }
 
 TEST(Alltoall, HierarchicalMessageCount) {
@@ -125,7 +125,7 @@ TEST(Alltoall, SingletonClustersWork) {
   sim::Network net(grid, {}, 1);
   const auto r = run_hierarchical_alltoall(net, KiB(4));
   EXPECT_EQ(r.messages, 2u);  // one aggregate each way
-  for (const Time t : r.completed) EXPECT_GT(t, 0.0);
+  for (const Time t : r.delivered) EXPECT_GT(t, 0.0);
 }
 
 TEST(Alltoall, SingleRankIsInstant) {

@@ -92,13 +92,12 @@ TEST(BackendRegistry, SimFactoryRequiresGrid) {
 
 // ------------------------------------------------------- capabilities
 
-TEST(BackendCapabilities, PlogpIsDeterministicAndSupportsAllVerbs) {
+TEST(BackendCapabilities, PlogpSupportsAllVerbs) {
   const PlogpBackend plogp;
   EXPECT_EQ(plogp.mode_label(), "predicted");
   EXPECT_TRUE(plogp.supports(Verb::kBcast));
   EXPECT_TRUE(plogp.supports(Verb::kScatter));
   EXPECT_TRUE(plogp.supports(Verb::kAlltoall));
-  EXPECT_TRUE(plogp.is_deterministic());
   EXPECT_TRUE(plogp.instance_only());
   EXPECT_TRUE(plogp.baseline_series().empty());
 
@@ -131,19 +130,15 @@ TEST(BackendCapabilities, PlogpIsDeterministicAndSupportsAllVerbs) {
             grid.cluster_count() * (grid.cluster_count() - 1));
 }
 
-TEST(BackendCapabilities, SimSupportsAllVerbsAndTracksJitter) {
+TEST(BackendCapabilities, SimSupportsAllVerbs) {
   const auto grid = topology::grid5000_testbed();
-  const SimBackend quiet(grid);
-  EXPECT_EQ(quiet.mode_label(), "measured");
-  EXPECT_TRUE(quiet.supports(Verb::kBcast));
-  EXPECT_TRUE(quiet.supports(Verb::kScatter));
-  EXPECT_TRUE(quiet.supports(Verb::kAlltoall));
-  EXPECT_TRUE(quiet.is_deterministic());  // jitter off: seed is inert
-  EXPECT_FALSE(quiet.instance_only());
-  EXPECT_EQ(quiet.baseline_series(), "DefaultLAM");
-
-  const SimBackend noisy(grid, {0.05});
-  EXPECT_FALSE(noisy.is_deterministic());
+  const SimBackend sim(grid);
+  EXPECT_EQ(sim.mode_label(), "measured");
+  EXPECT_TRUE(sim.supports(Verb::kBcast));
+  EXPECT_TRUE(sim.supports(Verb::kScatter));
+  EXPECT_TRUE(sim.supports(Verb::kAlltoall));
+  EXPECT_FALSE(sim.instance_only());
+  EXPECT_EQ(sim.baseline_series(), "DefaultLAM");
 }
 
 // ------------------------------------------------------------- verbs
@@ -175,6 +170,23 @@ TEST(BackendVerbs, SimExecutesAllCollectives) {
   const CollectiveResult a = sim.alltoall(*sched, KiB(16), 1);
   EXPECT_GT(a.completion, 0.0);
   EXPECT_GT(a.wan_messages, 0u);
+}
+
+TEST(BackendVerbs, SimBaselineIsIndexedByGlobalRank) {
+  // The grid-unaware tree is rooted at the root cluster's coordinator; its
+  // start time (the engine's clock, 0) must sit at that rank's slot, and
+  // every other rank must receive strictly later.
+  const auto grid = topology::grid5000_testbed();
+  const SimBackend sim(grid);
+  const CollectiveResult r = sim.baseline_bcast(2, MiB(1), 1);
+  ASSERT_EQ(r.delivered.size(), grid.total_nodes());
+  const NodeId root = grid.global_rank(2, 0);
+  EXPECT_EQ(r.delivered[root], 0.0);
+  for (NodeId rank = 0; rank < grid.total_nodes(); ++rank) {
+    if (rank != root) {
+      EXPECT_GT(r.delivered[rank], 0.0) << "rank " << rank;
+    }
+  }
 }
 
 TEST(BackendVerbs, PlogpBcastMatchesEvaluator) {

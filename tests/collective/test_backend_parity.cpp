@@ -121,7 +121,7 @@ topology::Grid random_bare_grid(std::uint64_t seed, std::uint32_t clusters) {
   std::vector<topology::Cluster> cs;
   for (std::uint32_t c = 0; c < clusters; ++c) {
     const auto size = static_cast<std::uint32_t>(rng.between(1, 8));
-    cs.emplace_back("c" + std::to_string(c), size,
+    cs.emplace_back(std::string("c").append(std::to_string(c)), size,
                     bare(rng.uniform(us(20), us(100)), us(10),
                          rng.uniform(5e7, 2e8)));
   }
@@ -138,20 +138,29 @@ topology::Grid random_bare_grid(std::uint64_t seed, std::uint32_t clusters) {
 TEST(BackendParity, ZeroOverheadCompletionsAgreeExactly) {
   // With zero-overhead parameters, no jitter and the after-last-send
   // completion model (the executor's NIC semantics), predictor and
-  // executor are the same number.
+  // executor are the same number — for every intra-cluster algorithm,
+  // because the executed local trees run the algorithm T_c predicts.
   sched::HeuristicOptions opts;
   opts.completion = sched::CompletionModel::kAfterLastSend;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const topology::Grid grid = random_bare_grid(seed, 5);
-    const collective::SimBackend sim(grid);
-    const collective::PlogpBackend plogp;
-    const auto inst = sched::Instance::from_grid(grid, 0, MiB(1));
-    for (const std::string_view name : {"FlatTree", "ECEF-LAT", "BottomUp"}) {
-      const auto entry = sched::registry().make(name, opts);
-      const sched::SchedulerRuntimeInfo info(inst, MiB(1), opts.completion);
-      EXPECT_NEAR(sim.bcast(*entry, info, seed).completion,
-                  plogp.bcast(*entry, info, seed).completion, 1e-9)
-          << name << " on seed " << seed;
+  for (const auto algo :
+       {plogp::BcastAlgorithm::kFlat, plogp::BcastAlgorithm::kChain,
+        plogp::BcastAlgorithm::kBinomial,
+        plogp::BcastAlgorithm::kSegmentedChain}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      topology::Grid grid = random_bare_grid(seed, 5);
+      for (ClusterId c = 0; c < grid.cluster_count(); ++c)
+        grid.cluster(c).set_algorithm(algo);
+      const collective::SimBackend sim(grid);
+      const collective::PlogpBackend plogp;
+      const auto inst = sched::Instance::from_grid(grid, 0, MiB(1));
+      for (const std::string_view name :
+           {"FlatTree", "ECEF-LAT", "BottomUp"}) {
+        const auto entry = sched::registry().make(name, opts);
+        const sched::SchedulerRuntimeInfo info(inst, MiB(1), opts.completion);
+        EXPECT_NEAR(sim.bcast(*entry, info, seed).completion,
+                    plogp.bcast(*entry, info, seed).completion, 1e-9)
+            << plogp::to_string(algo) << " " << name << " on seed " << seed;
+      }
     }
   }
 }

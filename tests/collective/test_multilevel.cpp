@@ -61,6 +61,25 @@ TEST(Multilevel, DeliversEveryRankExactlyOnce) {
   EXPECT_EQ(r.messages, grid.total_nodes() - 1);
 }
 
+TEST(Multilevel, LocalTreesFollowTheClusterAlgorithm) {
+  // Chain clusters forward rank to rank, so inside every cluster the
+  // deliveries strictly increase with local rank (a binomial tree would
+  // reach local rank 2 before local rank 1).
+  auto grid = two_site_grid();
+  for (ClusterId c = 0; c < grid.cluster_count(); ++c)
+    grid.cluster(c).set_algorithm(plogp::BcastAlgorithm::kChain);
+  sim::Network net(grid, {}, 1);
+  const auto r =
+      run_multilevel_bcast(net, 0, sites_by_latency(grid), MiB(1));
+  ASSERT_EQ(r.delivered.size(), grid.total_nodes());
+  for (ClusterId c = 0; c < grid.cluster_count(); ++c)
+    for (NodeId l = 1; l < grid.cluster(c).size(); ++l)
+      EXPECT_GT(r.delivered[grid.global_rank(c, l)],
+                r.delivered[grid.global_rank(c, l - 1)])
+          << "cluster " << c << " local rank " << l;
+  EXPECT_EQ(r.messages, grid.total_nodes() - 1);
+}
+
 TEST(Multilevel, CrossesWanOncePerRemoteSite) {
   // Level 0 sends exactly one WAN message to the remote site's gateway,
   // so only one transfer pays ~12 ms latency + WAN bandwidth.
@@ -96,7 +115,8 @@ TEST(Multilevel, ScheduledHeuristicStillWins) {
   // Make the WAN links heterogeneous so scheduling has something to find.
   std::vector<topology::Cluster> cs;
   for (int i = 0; i < 4; ++i)
-    cs.emplace_back("c" + std::to_string(i), 3, bare(us(50), us(10), 1e8));
+    cs.emplace_back(std::string("c").append(std::to_string(i)), 3,
+                    bare(us(50), us(10), 1e8));
   topology::Grid grid(std::move(cs));
   grid.set_link_symmetric(0, 1, bare(ms(5), us(100), 8e6));
   grid.set_link_symmetric(0, 2, bare(ms(20), us(100), 1e6));

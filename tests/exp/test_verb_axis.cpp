@@ -95,9 +95,6 @@ TEST(VerbAxis, UnsupportedVerbIsAOneLineDiagnostic) {
     [[nodiscard]] bool supports(collective::Verb v) const noexcept override {
       return v == collective::Verb::kBcast;
     }
-    [[nodiscard]] bool is_deterministic() const noexcept override {
-      return true;
-    }
     [[nodiscard]] bool instance_only() const noexcept override {
       return true;
     }

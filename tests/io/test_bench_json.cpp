@@ -109,6 +109,27 @@ TEST(BenchJson, StrictParserRejectsMalformedInput) {
                    "{\"bench\": \"montecarlo\", \"iterations\": 0, "
                    "\"clusters\": [3], \"series\": []}"),
                InvalidInput);
+  // Mode-only keys: the writer records a seed for measured sweeps and
+  // Monte-Carlo races only, and a jitter for measured reports only, so a
+  // report carrying one elsewhere could not round-trip.
+  const auto refused_for = [](const std::string& text, const char* key) {
+    try {
+      (void)bench_from_json(text);
+      ADD_FAILURE() << "accepted '" << key << "' in " << text;
+    } catch (const InvalidInput& e) {
+      const std::string quoted = std::string("'") + key + "'";
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos)
+          << e.what();
+    }
+  };
+  refused_for(
+      "{\"mode\": \"predicted\", \"seed\": 5, \"sizes\": [1], "
+      "\"series\": [{\"name\": \"A\", \"makespan_s\": [0.5]}]}",
+      "seed");
+  refused_for(
+      "{\"bench\": \"montecarlo\", \"iterations\": 4, \"seed\": 5, "
+      "\"jitter\": 0.5, \"clusters\": [3], \"series\": []}",
+      "jitter");
 }
 
 // Process-level sharding is retired: a report carrying its keys (or the

@@ -53,7 +53,7 @@ TEST(InstanceIo, TruncatedInputRejected) {
 TEST(InstanceIo, NonNumericFieldRejected) {
   std::string text = instance_to_string(sample(2));
   const auto pos = text.find("T ") + 2;
-  text.replace(pos, 1, "x");
+  text[pos] = 'x';
   EXPECT_THROW((void)instance_from_string(text), InvalidInput);
 }
 
